@@ -3,8 +3,9 @@
 A plane (binary) tensor P of degree l is copositive iff the segment
 function phi(t) = P(t, 1-t) stays nonnegative on [0, 1].  The decision
 procedure checks the endpoint coefficients first, then isolates every
-interior critical point of phi with Sturm sequences, so the answer comes
-with a witness or a full list of examined points.
+interior critical point of phi by Bernstein subdivision (phi is already in
+Bernstein form), so the answer comes with a witness or a full list of
+examined points.
 """
 
 import numpy as np

@@ -12,14 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import polyroots
 from .associated import PlaneTensor
-from .errors import NumericalError
-
-_GROWTH_CAP = 1e12
-_SCAN_SAMPLES = 4096
 
 
 def phi_eval(p, t):
@@ -28,36 +23,7 @@ def phi_eval(p, t):
     Runs de Casteljau on the Bernstein coefficients b_k = p_{l-k}; the
     endpoints come out exactly as phi(0) = p_l and phi(1) = p_0.
     """
-    t = float(t)
-    b = np.asarray(p.coeffs)[::-1].astype(float)
-    for _ in range(p.degree):
-        b = (1.0 - t) * b[:-1] + t * b[1:]
-    return float(b[0])
-
-
-def _phi_monomial(p):
-    """Monomial coefficients of phi, from exact binomials.
-
-    a_i = C(l,i) * sum_{j<=i} (-1)^(i-j) C(i,j) b_j with b_j = p_{l-j}.
-    Raises when coefficient growth says the conversion lost the value.
-    """
-    l = p.degree
-    b = np.asarray(p.coeffs)[::-1]
-    a = np.empty(l + 1)
-    for i in range(l + 1):
-        s = 0.0
-        for j in range(i + 1):
-            term = math.comb(l, i) * math.comb(i, j) * b[j]
-            s += term if (i - j) % 2 == 0 else -term
-        a[i] = s
-    scale = max(1.0, float(np.max(np.abs(b))))
-    growth = float(np.max(np.abs(a))) / scale
-    if growth > _GROWTH_CAP:
-        raise NumericalError(
-            f"monomial conversion coefficient growth {growth:.3e} exceeds {_GROWTH_CAP:.0e}",
-            residual=growth,
-        )
-    return a
+    return polyroots._value(np.asarray(p.coeffs, dtype=float)[::-1], float(t))
 
 
 @dataclass(frozen=True)
@@ -72,9 +38,10 @@ def copositive_check(p, tol=1e-10):
     """Decide copositivity of a plane tensor.
 
     Step 1 rejects on a negative endpoint coefficient (p_0 or p_l below
-    -tol).  Step 2 locates every interior critical point of phi via Sturm
-    isolation of phi' on (0, 1) and compares phi there and at the endpoints
-    against -tol * max(1, max |p_k|).
+    -tol).  Step 2 locates every interior critical point of phi as a root
+    of phi', whose Bernstein coefficients are the differences of
+    b_k = p_(l-k), and compares phi there and at the endpoints against
+    -tol * max(1, max |p_k|).
     """
     coeffs = np.asarray(p.coeffs)
     p0 = float(coeffs[0])
@@ -83,10 +50,7 @@ def copositive_check(p, tol=1e-10):
         witness = 0.0 if pl < -tol else 1.0
         return CopositivityReport(False, witness, [0.0, 1.0], min(p0, pl))
 
-    a = _phi_monomial(p)
-    da = npoly.polyder(a)
-    interior = [] if polyroots.is_zero_poly(polyroots.trim(da)) else polyroots.roots_in_interval(da, 0.0, 1.0)
-    points = [0.0] + interior + [1.0]
+    points = [0.0] + polyroots.bernstein_roots(np.diff(coeffs[::-1])) + [1.0]
     values = [phi_eval(p, t) for t in points]
     min_idx = int(np.argmin(values))
     min_phi = float(values[min_idx])
@@ -105,89 +69,32 @@ class PlaneExtremes:
     y_max: np.ndarray
 
 
-def _form_tables(p):
-    l = p.degree
-    k = np.arange(l + 1, dtype=float)
-    bc = np.array([math.comb(l, int(j)) for j in range(l + 1)], dtype=float)
-    return l, k, bc * np.asarray(p.coeffs)
-
-
 def eval_plane(p, y1, y2):
     """Form value(s) at (y1, y2); arguments may be arrays."""
-    l, k, w = _form_tables(p)
+    l = p.degree
+    k = np.arange(l + 1, dtype=float)
+    w = np.array([math.comb(l, j) for j in range(l + 1)], dtype=float) * np.asarray(p.coeffs)
     y1 = np.asarray(y1, dtype=float)[..., None]
     y2 = np.asarray(y2, dtype=float)[..., None]
     val = np.sum(w * y1 ** (l - k) * y2**k, axis=-1)
     return float(val) if val.ndim == 0 else val
 
 
-def _g_and_derivs(p, theta):
-    """g(theta), g'(theta), g''(theta) for g = P(cos, sin) on the circle."""
-    l, k, w = _form_tables(p)
-    c = np.cos(theta)[..., None]
-    s = np.sin(theta)[..., None]
-    lk = l - k
-    e = lambda base, ex: base ** np.maximum(ex, 0.0)
-    f = np.sum(w * e(c, lk) * e(s, k), axis=-1)
-    f1 = np.sum(w * lk * e(c, lk - 1) * e(s, k), axis=-1)
-    f2 = np.sum(w * k * e(c, lk) * e(s, k - 1), axis=-1)
-    f11 = np.sum(w * lk * (lk - 1) * e(c, lk - 2) * e(s, k), axis=-1)
-    f12 = np.sum(w * lk * k * e(c, lk - 1) * e(s, k - 1), axis=-1)
-    f22 = np.sum(w * k * (k - 1) * e(c, lk) * e(s, k - 2), axis=-1)
-    c0 = c[..., 0]
-    s0 = s[..., 0]
-    g = f
-    g1 = -s0 * f1 + c0 * f2
-    g2 = s0 * s0 * f11 - 2.0 * c0 * s0 * f12 + c0 * c0 * f22 - (c0 * f1 + s0 * f2)
-    return g, g1, g2
-
-
-def _refine(p, lo, hi):
-    """Root of g' bracketed by a sign change, bisection then Newton."""
-    _, glo, _ = _g_and_derivs(p, np.array(lo))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        _, gm, _ = _g_and_derivs(p, np.array(mid))
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(3):
-        _, g1, g2 = _g_and_derivs(p, np.array(t))
-        if g2 == 0.0:
-            break
-        step = g1 / g2
-        if not np.isfinite(step) or abs(step) > 1e-6:
-            break
-        t -= step
-    return t
-
-
 def z_extremes(p):
     """Extreme values of the form on the unit circle, with unit witnesses.
 
-    A 4096-sample scan of g(theta) = P(cos theta, sin theta) seeds every sign
-    change of g'; each bracket is refined and the best sampled points are kept
-    as fallback candidates for flat or tangential extremes.
+    The stationary points on the circle are the zeros of the binary form
+    y2 dP/dy1 - y1 dP/dy2, whose coefficients are
+    q_j = j p_(j-1) - (l-j) p_(j+1); each zero direction is tried with both
+    signs, together with the axes.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, _SCAN_SAMPLES, endpoint=False)
-    g, g1, _ = _g_and_derivs(p, theta)
-
-    cands = [float(theta[int(np.argmin(g))]), float(theta[int(np.argmax(g))])]
-    g1_next = np.roll(g1, -1)
-    theta_next = np.concatenate([theta[1:], [2.0 * np.pi]])
-    for i in np.nonzero(np.sign(g1) * np.sign(g1_next) <= 0)[0]:
-        if g1[i] == 0.0 and g1_next[i] == 0.0:
-            continue
-        cands.append(_refine(p, float(theta[i]), float(theta_next[i])))
-
-    vals = np.array([_g_and_derivs(p, np.array(t))[0] for t in cands])
-    t_min = cands[int(np.argmin(vals))]
-    t_max = cands[int(np.argmax(vals))]
-    y_min = np.array([np.cos(t_min), np.sin(t_min)])
-    y_max = np.array([np.cos(t_max), np.sin(t_max)])
-    return PlaneExtremes(float(np.min(vals)), y_min, float(np.max(vals)), y_max)
+    l = p.degree
+    c = np.asarray(p.coeffs, dtype=float)
+    j = np.arange(l + 1)
+    q = j * np.r_[0.0, c[:-1]] - (l - j) * np.r_[c[1:], 0.0]
+    dirs = np.array(polyroots.form_directions(q))
+    ys = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    ys = np.concatenate([ys, -ys])
+    vals = eval_plane(p, ys[:, 0], ys[:, 1])
+    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
+    return PlaneExtremes(float(vals[i_min]), ys[i_min], float(vals[i_max]), ys[i_max])

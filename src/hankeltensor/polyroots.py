@@ -1,148 +1,146 @@
-"""Real-root isolation for modest-degree polynomials (internal).
+"""Real roots of polynomials in Bernstein form (internal).
 
-Sturm-sequence bisection with max-norm-normalised float coefficients, then
-Newton polish against the original polynomial.  Coefficients are low-to-high,
-matching ``numpy.polynomial.polynomial``.
+One subdivision engine serves the segment function of a plane tensor, its
+circle extremes and the two-dimensional H-spectrum: de Casteljau halving,
+with Descartes' rule of signs on the Bernstein coefficients deciding which
+pieces can hold a root (Mourrain & Pavone, "Subdivision methods for solving
+polynomial equations", J. Symb. Comput. 44, 2009).  Nothing is converted to
+the monomial basis.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-_TRIM_REL = 1e-13
-_ZERO_VAL = 1e-300
-
-
-def trim(c, rel=_TRIM_REL):
-    """Drop leading (high-order) coefficients below rel * max|c|."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    m = float(np.max(np.abs(c))) if c.size else 0.0
-    if m == 0.0:
-        return np.zeros(1)
-    keep = np.nonzero(np.abs(c) > rel * m)[0]
-    if keep.size == 0:
-        return np.zeros(1)
-    return c[: keep[-1] + 1]
+_MIN_WIDTH = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
-def is_zero_poly(c):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    return bool(np.all(c == 0.0))
+@lru_cache(maxsize=64)
+def _halving(l):
+    """Matrices taking degree-l Bernstein coefficients on a piece to its halves.
+
+    Left half: b_i = 2^-i sum_{j<=i} C(i,j) b_j; the right half mirrors it.
+    """
+    left = np.zeros((l + 1, l + 1))
+    for i in range(l + 1):
+        for j in range(i + 1):
+            left[i, j] = math.comb(i, j) / 2**i
+    right = left[::-1, ::-1].copy()
+    left.flags.writeable = False
+    right.flags.writeable = False
+    return left, right
 
 
-def sturm_chain(c):
-    """Sturm sequence of c, each element scaled to unit max-norm."""
-    c = trim(c)
-    if is_zero_poly(c) or c.size == 1:
-        return [c]
-    chain = [c / np.max(np.abs(c))]
-    d = trim(npoly.polyder(chain[0]))
-    if is_zero_poly(d):
-        return chain
-    chain.append(d / np.max(np.abs(d)))
-    while chain[-1].size > 1:
-        q, r = npoly.polydiv(chain[-2], chain[-1])
-        r = trim(r)
-        # a remainder at rounding-noise scale means we hit the gcd; keeping it
-        # would amplify noise to unit size and corrupt the variation counts
-        noise = 1e-12 * max(1.0, float(np.max(np.abs(q))))
-        if is_zero_poly(r) or float(np.max(np.abs(r))) <= noise:
-            break
-        chain.append(-r / np.max(np.abs(r)))
-    return chain
+def _value(b, t):
+    """de Casteljau evaluation of sum_k b_k C(l,k) (1-t)^(l-k) t^k."""
+    for _ in range(b.size - 1):
+        b = (1.0 - t) * b[:-1] + t * b[1:]
+    return float(b[0])
 
 
-def _variations(chain, x):
-    count = 0
-    prev = 0.0
-    for c in chain:
-        v = npoly.polyval(x, c)
-        if abs(v) <= _ZERO_VAL:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            count += 1
-        prev = v
-    return count
+def _falsi(b, lo, hi, flo, fhi):
+    """The root of b inside (lo, hi), where its values flo and fhi differ in sign.
 
-
-def count_roots(chain, a, b):
-    """Distinct real roots in (a, b] by sign-variation difference."""
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _newton(c, dc, t, lo, hi, tol_resid):
-    for _ in range(60):
-        f = npoly.polyval(t, c)
-        if abs(f) <= tol_resid:
-            break
-        df = npoly.polyval(t, dc)
-        if df == 0.0:
-            break
-        step = f / df
-        t_new = t - step
-        if not (lo <= t_new <= hi):
-            break
-        if t_new == t:
-            break
-        t = t_new
+    Illinois regula falsi.  Every second step bisects instead when the two
+    steps before it have not halved the bracket, so that skewed end values
+    cannot stall it.
+    """
+    side = 0
+    t = lo
+    width = hi - lo
+    step = 0
+    while hi - lo > 2.0 * _EPS:
+        step += 1
+        t = (lo * fhi - hi * flo) / (fhi - flo)
+        if step % 2 == 0:
+            if hi - lo > 0.5 * width:
+                t = 0.5 * (lo + hi)
+            width = hi - lo
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        ft = _value(b, t)
+        if ft == 0.0:
+            return t
+        if (ft > 0.0) == (fhi > 0.0):
+            hi, fhi = t, ft
+            if side == -1:
+                flo *= 0.5
+            side = -1
+        else:
+            lo, flo = t, ft
+            if side == 1:
+                fhi *= 0.5
+            side = 1
     return t
 
 
-def roots_in_interval(c, lo, hi, resid_rel=1e-13):
-    """Distinct real roots of c inside the open interval (lo, hi).
+def bernstein_roots(b):
+    """Distinct roots in (0, 1) of sum_k b_k C(l,k) (1-t)^(l-k) t^k.
 
-    Isolating intervals come from Sturm-count bisection (robust to even
-    multiplicities); each is narrowed, then Newton-polished against c.
+    Each piece carries a running bound on the rounding error of its
+    coefficients; a coefficient within its bound is at rounding level and
+    has no sign.  Pieces are halved while the signed coefficients change
+    sign more than once.  A piece with a single sign change between signed
+    end coefficients holds exactly one root, which regula falsi refines on
+    the whole polynomial.  A rounding-level value at a split point is a root
+    there.  A piece narrower than 1e-12, or one whose coefficients are all
+    at rounding level, is one candidate at its midpoint; touching candidates
+    of that kind merge into one.
     """
-    c = trim(c)
-    if is_zero_poly(c) or c.size == 1:
+    b = np.asarray(b, dtype=float)
+    l = b.size - 1
+    if l < 1 or not np.any(b):
         return []
-    chain = sturm_chain(c)
-    dc = npoly.polyder(c)
-    scale = max(1.0, float(np.max(np.abs(c))))
-    tol_resid = resid_rel * scale
-
-    # nudge endpoints off any chain zeros so variation counts are clean
-    span = hi - lo
-    a, b = lo + 1e-14 * span, hi - 1e-14 * span
-    total = count_roots(chain, a, b)
-    if total <= 0:
-        return []
-
-    roots = []
-    stack = [(a, b, total)]
+    gamma = (l + 2) * _EPS
+    left, right = _halving(l)
+    found = []  # (lo, hi) of each root's enclosure; a point when refined
+    stack = [(0.0, 1.0, b, _EPS * np.abs(b))]
     while stack:
-        x0, x1, cnt = stack.pop()
-        if cnt == 0:
+        lo, hi, c, err = stack.pop()
+        signed = np.abs(c) > err
+        if not np.any(signed) or hi - lo < _MIN_WIDTH:
+            found.append((lo, hi))
             continue
-        if cnt == 1 and x1 - x0 <= 1e-10 * max(1.0, abs(x0), abs(x1)):
-            t = _newton(c, dc, 0.5 * (x0 + x1), x0, x1, tol_resid)
-            roots.append(t)
+        signs = c[signed] > 0.0
+        changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+        if changes == 0:
             continue
-        if x1 - x0 <= 4e-16 * max(1.0, abs(x0), abs(x1)):
-            roots.append(0.5 * (x0 + x1))
+        if changes == 1 and signed[0] and signed[-1]:
+            t = _falsi(b, lo, hi, float(c[0]), float(c[-1]))
+            found.append((t, t))
             continue
-        mid = 0.5 * (x0 + x1)
-        left = count_roots(chain, x0, mid)
-        stack.append((x0, mid, left))
-        stack.append((mid, x1, cnt - left))
+        mid = 0.5 * (lo + hi)
+        err = err + gamma * np.abs(c)
+        cl, el = left @ c, left @ err
+        if abs(cl[-1]) <= el[-1]:
+            found.append((mid, mid))
+        stack.append((mid, hi, right @ c, right @ err))
+        stack.append((lo, mid, cl, el))
 
-    roots.sort()
-    # merge near-duplicates arising from split brackets
-    out = []
-    for t in roots:
-        if out and abs(t - out[-1]) <= 1e-9 * max(1.0, abs(t)):
-            continue
-        out.append(float(t))
-    return [t for t in out if lo < t < hi]
+    found.sort()
+    merged = []
+    for lo, hi in found:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [0.5 * (lo + hi) for lo, hi in merged if 0.0 < 0.5 * (lo + hi) < 1.0]
 
 
-def real_roots(c, resid_rel=1e-13):
-    """All distinct real roots, isolated inside a Cauchy bound."""
-    c = trim(c)
-    if is_zero_poly(c) or c.size == 1:
-        return []
-    lead = abs(c[-1])
-    bound = 1.0 + float(np.max(np.abs(c[:-1]))) / lead if c.size > 1 else 1.0
-    return roots_in_interval(c, -bound - 1e-6, bound + 1e-6, resid_rel)
+def form_directions(q):
+    """Directions (y1, y2) where sum_j C(l,j) q_j y1^(l-j) y2^j can vanish.
+
+    The charts y = (1-u, u) and y = (1-u, -u), u in [0, 1], meet every line
+    through the origin; their Bernstein coefficients are q_j and (-1)^j q_j.
+    The chart corners (1, 0) and (0, 1) are always included.
+    """
+    q = np.asarray(q, dtype=float)
+    dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    for sign in (1.0, -1.0):
+        for u in bernstein_roots(q * sign ** np.arange(q.size)):
+            dirs.append(np.array([1.0 - u, sign * u]))
+    return dirs

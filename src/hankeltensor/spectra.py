@@ -8,8 +8,8 @@ toward a globally sufficient cap, so every restart ascends monotonically.
 Restarts combine the coordinate directions, a seed derived from the
 associated plane tensor's circle extremes, and seeded random directions; this
 makes the plane-derived bounds hold against the estimates by construction.
-For two-dimensional tensors the full H-spectrum reduces to the real roots of
-a single polynomial.
+For two-dimensional tensors the full H-spectrum reduces to the zero
+directions of a single binary form.
 """
 
 from __future__ import annotations
@@ -207,28 +207,23 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
 def heig_dim2(a):
     """All H-eigenpairs of a two-dimensional Hankel tensor.
 
-    Splits on x = (0, 1) and x = (1, t); the latter reduces to the real roots
-    of g(t) = F_2(1,t) - t^(m-1) F_1(1,t) where F = A x^(m-1).  Candidates
-    are normalised to unit max-norm and kept only when the eigen residual is
-    within 1e-8 * (1 + |lambda|).  A vanishing g (every direction is an
-    eigenvector) is reported at representative vectors.
+    With F = A x^(m-1), the eigenvectors are the zero directions of the
+    binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2, found by
+    the Bernstein root engine over both charts of the projective line.
+    Candidates are normalised to unit max-norm and kept only when the eigen
+    residual is within 1e-8 * (1 + |lambda|).  When the form vanishes (every
+    direction is an eigenvector) the axes are reported as representatives.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
     m = a.order
     v = np.asarray(a.gen)
     binom = np.array([math.comb(m - 1, k) for k in range(m)], dtype=float)
-    f1 = v[:m] * binom  # F_1(1,t) coefficients in t
-    f2 = v[1 : m + 1] * binom
-    g = np.polynomial.polynomial.polysub(f2, np.concatenate([np.zeros(m - 1), f1]))
-
-    candidates = [np.array([0.0, 1.0])]
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([f1, f2])))))
-    if np.max(np.abs(g)) <= 1e-12 * scale:
-        candidates.append(np.array([1.0, 0.0]))
-    else:
-        for t in polyroots.real_roots(g):
-            candidates.append(np.array([1.0, t]))
+    g = np.zeros(2 * m - 1)  # monomial weights of y1^(2m-2-j) y2^j
+    g[:m] += binom * v[1:]
+    g[m - 1 :] -= binom * v[:m]
+    weights = np.array([math.comb(2 * m - 2, j) for j in range(2 * m - 1)], dtype=float)
+    candidates = polyroots.form_directions(g / weights)
 
     pairs = []
     for x in candidates:

@@ -1,13 +1,20 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hankeltensor import (
-    NumericalError,
+    DiscreteMeasure,
     PlaneTensor,
+    VandermondeDecomposition,
+    assoc_plane,
+    compose,
     copositive_check,
     eval_plane,
+    from_measure,
+    heig_dim2,
     phi_eval,
     z_extremes,
 )
@@ -108,11 +115,14 @@ class TestCopositiveCheck:
                 # full critical-point sweep ran, so min_phi is the true minimum
                 assert rep.min_phi <= grid_min + 1e-9
 
-    def test_conversion_overflow_raises(self):
+    def test_alternating_degree_50_is_copositive(self):
+        # phi = (2t - 1)^50: its monomial coefficients reach 8e22, its
+        # Bernstein coefficients stay at +-1
         l = 50
-        coeffs = [(-1.0) ** k for k in range(l + 1)]
-        with pytest.raises(NumericalError):
-            copositive_check(PlaneTensor(l, coeffs))
+        rep = copositive_check(PlaneTensor(l, [(-1.0) ** k for k in range(l + 1)]))
+        assert rep.is_copositive
+        assert rep.min_phi == pytest.approx(0.0, abs=1e-12)
+        assert 0.5 in rep.critical_points
 
 
 class TestEvalPlane:
@@ -181,6 +191,92 @@ class TestZExtremes:
             l = int(rng.integers(1, 4)) * 2 + 1
             ext = z_extremes(PlaneTensor(l, rng.uniform(-1, 1, l + 1)))
             assert ext.lambda_min == pytest.approx(-ext.lambda_max, rel=1e-8, abs=1e-10)
+
+
+def phi_exact(p, t):
+    """phi(t) by de Casteljau in rational arithmetic."""
+    b = [Fraction(float(x)) for x in p.coeffs[::-1]]
+    t = Fraction(t)
+    while len(b) > 1:
+        b = [(1 - t) * x + t * y for x, y in zip(b[:-1], b[1:])]
+    return b[0]
+
+
+def grid_min(p):
+    return min(phi_eval(p, t) for t in np.linspace(0.0, 1.0, 201))
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+MEASURES = [([-0.5, 0.25, 0.75], [0.3, 0.5, 0.2]), ([0.0, 1.0], [1.0, 1.0])]
+
+
+class TestHighDegreeAndMultipleRoots:
+    """Inputs that once raised or stalled the root isolation; each now
+    finishes in milliseconds, so a one-second limit leaves wide headroom."""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("order,dim", [(6, 9), (8, 8), (10, 7)])
+    def test_strong_planes_at_degree_48_to_60(self, order, dim, measure):
+        p = assoc_plane(from_measure(DiscreteMeasure(*measure), order, dim))
+        rep, dt = timed(copositive_check, p)
+        assert rep.is_copositive
+        assert rep.min_phi >= 0.0
+        assert dt < 1.0
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_degree_60_minimum_matches_exact_arithmetic(self, measure):
+        p = assoc_plane(from_measure(DiscreteMeasure(*measure), 10, 7))
+        rep = copositive_check(p)
+        exact = [phi_exact(p, t) for t in rep.critical_points]
+        scale = float(np.max(np.abs(p.coeffs)))
+        assert float(min(exact)) == pytest.approx(rep.min_phi, abs=1e-15 * scale)
+        t_min = rep.critical_points[exact.index(min(exact))]
+        for dt in (-1e-3, -1e-6, 1e-6, 1e-3):
+            assert phi_exact(p, t_min + dt) >= min(exact)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_measure(
+                DiscreteMeasure(
+                    [-0.4682116671061205, -0.8485280161630631, 0.07588680935169334],
+                    [0.9083301217185581, 0.05262188720728811, 0.028027177473773146],
+                ),
+                4,
+                11,
+            ),
+            lambda: compose(
+                VandermondeDecomposition(
+                    [-0.8153699080168815, -0.45598624027574375], [0.31940990314224876, 0.8054473684232635]
+                ),
+                10,
+                4,
+            ),
+            lambda: from_measure(DiscreteMeasure([-0.7367683683833885], [0.8528206048308253]), 6, 4),
+        ],
+        ids=["degree40", "degree30", "rank_one_m6_n4"],
+    )
+    def test_former_stalls_finish(self, build):
+        p = assoc_plane(build())
+        rep, dt = timed(copositive_check, p)
+        assert rep.is_copositive
+        assert dt < 1.0
+        assert rep.min_phi <= grid_min(p) + 1e-12 * float(np.max(np.abs(p.coeffs)))
+
+    def test_rank_one_heig_dim2(self):
+        node, weight = -0.07901919773786004, 0.7731754229298827
+        pairs, dt = timed(heig_dim2, from_measure(DiscreteMeasure([node], [weight]), 8, 2))
+        assert dt < 1.0
+        # A = w (1, u)^(x)8 has x = (1, u^(1/7)) with lambda = w (1 + u^(8/7))^7,
+        # and x = (-u, 1), orthogonal to (1, u), with lambda = 0
+        values = sorted(p.value for p in pairs)
+        root = -(abs(node) ** (1.0 / 7.0))
+        assert values == pytest.approx([0.0, weight * (1.0 + node * root) ** 7], abs=1e-9)
 
 
 class TestValidation:

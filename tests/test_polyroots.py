@@ -1,14 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from hankeltensor.polyroots import (
-    count_roots,
-    is_zero_poly,
-    real_roots,
-    roots_in_interval,
-    sturm_chain,
-    trim,
-)
+from hankeltensor.polyroots import _halving, bernstein_roots, form_directions
 
 
 def poly_from_roots(roots):
@@ -18,60 +13,102 @@ def poly_from_roots(roots):
     return c
 
 
+def to_bernstein(c):
+    """Bernstein coefficients on [0, 1] of the monomial polynomial c (low to high)."""
+    l = len(c) - 1
+    return np.array(
+        [sum(math.comb(k, i) / math.comb(l, i) * c[i] for i in range(k + 1)) for k in range(l + 1)]
+    )
+
+
+def roots_01(c):
+    return bernstein_roots(to_bernstein(c))
+
+
+def real_roots(c):
+    """Nonzero real roots of the monomial polynomial c, read off the zero
+    directions (y1, y2) of its homogenisation at t = y2 / y1; the chart
+    corners (1, 0) and (0, 1) are left out."""
+    l = len(c) - 1
+    q = [c[j] / math.comb(l, j) for j in range(l + 1)]
+    return sorted(y[1] / y[0] for y in form_directions(q) if y[0] != 0.0 and y[1] != 0.0)
+
+
+def casteljau(b, t):
+    b = np.asarray(b, dtype=float)
+    while b.size > 1:
+        b = (1.0 - t) * b[:-1] + t * b[1:]
+    return b[0]
+
+
 class TestBasics:
-    def test_trim(self):
-        assert trim(np.array([1.0, 2.0, 0.0, 0.0])).tolist() == [1.0, 2.0]
-        assert trim(np.array([0.0, 0.0])).tolist() == [0.0]
-        # relative threshold: tiny leading noise next to a huge coefficient
-        assert trim(np.array([1e6, 1.0, 1e-12])).tolist() == [1e6, 1.0]
+    def test_root_at_split_point(self):
+        # the first halving lands exactly on the root
+        assert roots_01(poly_from_roots([0.5])) == [0.5]
+        assert roots_01(poly_from_roots([0.5, 0.25, 0.75])) == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
 
-    def test_is_zero_poly(self):
-        assert is_zero_poly(np.array([0.0]))
-        assert is_zero_poly(np.array([0.0, 0.0]))
-        assert not is_zero_poly(np.array([0.0, 1e-6]))
+    def test_rounding_level_cluster_is_one_candidate(self):
+        # a five-fold root sits at rounding level over a whole neighbourhood;
+        # it comes back once, near the root, neither dropped nor repeated
+        got = roots_01(poly_from_roots([0.3] * 5))
+        assert len(got) == 1
+        assert got[0] == pytest.approx(0.3, abs=1e-2)
 
-    def test_chain_ends_at_constant(self):
-        chain = sturm_chain(np.array([-2.0, 0.0, 1.0]))  # t^2 - 2
-        assert len(chain) == 3
-        assert chain[-1].size == 1
+    def test_scale_does_not_change_roots(self):
+        b = to_bernstein(poly_from_roots([0.2, 0.6]))
+        want = bernstein_roots(b)
+        assert np.allclose(want, [0.2, 0.6], atol=1e-12)
+        for s in (1e-300, 1e-6, 1e6, 1e300):
+            assert bernstein_roots(s * b) == pytest.approx(want, abs=1e-12)
+
+    def test_halving_matches_de_casteljau(self, rng):
+        for l in (1, 4, 17):
+            left, right = _halving(l)
+            assert _halving(l)[0] is left
+            assert not left.flags.writeable
+            b = rng.uniform(-1, 1, l + 1)
+            for s in (0.0, 0.3, 1.0):
+                assert casteljau(left @ b, s) == pytest.approx(casteljau(b, 0.5 * s), abs=1e-14)
+                assert casteljau(right @ b, s) == pytest.approx(casteljau(b, 0.5 + 0.5 * s), abs=1e-14)
 
 
 class TestCounting:
     def test_quadratic(self):
-        chain = sturm_chain(np.array([-2.0, 0.0, 1.0]))
-        assert count_roots(chain, 0.0, 2.0) == 1
-        assert count_roots(chain, -2.0, 2.0) == 2
-        assert count_roots(chain, 2.0, 3.0) == 0
+        # t^2 - 1/2 has one root in (0, 1); t^2 - 2 has none
+        assert roots_01(np.array([-0.5, 0.0, 1.0])) == pytest.approx([0.5**0.5], abs=1e-15)
+        assert roots_01(np.array([-2.0, 0.0, 1.0])) == []
+        assert len(roots_01(poly_from_roots([0.1, 0.95]))) == 2
 
     def test_multiple_root_counted_once(self):
-        c = poly_from_roots([0.5, 0.5, 0.7])
-        chain = sturm_chain(c)
-        assert count_roots(chain, 0.0, 1.0) == 2
+        got = roots_01(poly_from_roots([0.5, 0.5, 0.7]))
+        assert len(got) == 2
+        assert np.allclose(got, [0.5, 0.7], atol=1e-9)
 
 
 class TestRootsInInterval:
     def test_known_roots(self):
-        c = poly_from_roots([0.2, 0.5, 0.9])
-        got = roots_in_interval(c, 0.0, 1.0)
+        got = roots_01(poly_from_roots([0.2, 0.5, 0.9]))
         assert np.allclose(got, [0.2, 0.5, 0.9], atol=1e-9)
 
     def test_double_root(self):
-        c = poly_from_roots([0.5, 0.5])
-        got = roots_in_interval(c, 0.0, 1.0)
+        got = roots_01(poly_from_roots([0.5, 0.5]))
         assert len(got) == 1
         assert got[0] == pytest.approx(0.5, abs=1e-6)
+        got = roots_01(poly_from_roots([0.3, 0.3]))
+        assert len(got) == 1
+        assert got[0] == pytest.approx(0.3, abs=1e-6)
 
     def test_open_interval_excludes_endpoints(self):
-        c = poly_from_roots([0.0, 1.0, 0.5])
-        got = roots_in_interval(c, 0.0, 1.0)
+        got = roots_01(poly_from_roots([0.0, 1.0, 0.5]))
         assert np.allclose(got, [0.5], atol=1e-9)
 
     def test_no_roots(self):
-        assert roots_in_interval(np.array([1.0, 0.0, 1.0]), -1.0, 1.0) == []
+        assert roots_01(np.array([1.0, 0.0, 1.0])) == []
 
     def test_constant_and_zero(self):
-        assert roots_in_interval(np.array([3.0]), 0.0, 1.0) == []
-        assert roots_in_interval(np.array([0.0]), 0.0, 1.0) == []
+        assert bernstein_roots([3.0]) == []
+        assert bernstein_roots([0.0]) == []
+        assert bernstein_roots(np.zeros(5)) == []
 
     def test_cross_check_random(self, rng):
         mismatches = 0
@@ -80,11 +117,9 @@ class TestRootsInInterval:
             c = rng.uniform(-1, 1, deg + 1)
             if abs(c[-1]) < 0.1:
                 c[-1] = 0.5
-            got = np.array(roots_in_interval(c, -1.0, 1.0))
+            got = np.array([t for t in real_roots(c) if -1.0 < t < 1.0])
             r = np.roots(c[::-1])
-            real = np.sort(
-                [x.real for x in r if abs(x.imag) < 1e-9 and -1.0 + 1e-7 < x.real < 1.0 - 1e-7]
-            )
+            real = np.sort([x.real for x in r if abs(x.imag) < 1e-9 and -1.0 + 1e-7 < x.real < 1.0 - 1e-7])
             # skip cases where np.roots itself sits near the boundary of realness
             if any(0 < abs(x.imag) < 1e-6 for x in r):
                 continue
@@ -97,7 +132,7 @@ class TestRootsInInterval:
             c = rng.uniform(-1, 1, 7)
             c[-1] = 1.0
             scale = max(abs(c))
-            for t in roots_in_interval(c, -1.0, 1.0):
+            for t in (t for t in real_roots(c) if -1.0 < t < 1.0):
                 val = np.polynomial.polynomial.polyval(t, c)
                 assert abs(val) < 1e-7 * scale
 
@@ -114,4 +149,11 @@ class TestRealRoots:
 
     def test_large_roots_within_bound(self):
         got = real_roots(poly_from_roots([-50.0, 125.0]))
-        assert np.allclose(got, [-50.0, 125.0], atol=1e-6)
+        assert np.allclose(got, [-50.0, 125.0], rtol=1e-12)
+
+    def test_directions_cover_both_charts(self):
+        # y1^2 - y2^2 vanishes on the two diagonals, one in each chart
+        dirs = form_directions([1.0, 0.0, -1.0])
+        assert len(dirs) == 4
+        assert {tuple(d) for d in dirs[:2]} == {(1.0, 0.0), (0.0, 1.0)}
+        assert sorted(d[1] / d[0] for d in dirs[2:]) == pytest.approx([-1.0, 1.0], abs=1e-15)
