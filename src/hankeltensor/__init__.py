@@ -18,15 +18,12 @@ from .associated import (
     psd_check,
 )
 from .core import (
-    DenseSymmetricTensor,
     HankelTensor,
-    dense_eval,
     entry,
     eval_form,
     eval_gradient_form,
     hadamard,
     make_hankel,
-    to_dense,
 )
 from .errors import NumericalError
 from .plane import (
@@ -61,14 +58,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HankelTensor",
-    "DenseSymmetricTensor",
     "make_hankel",
     "entry",
     "eval_form",
     "eval_gradient_form",
     "hadamard",
-    "to_dense",
-    "dense_eval",
     "HankelMatrix",
     "PlaneTensor",
     "StrongCertificate",

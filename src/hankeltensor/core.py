@@ -4,19 +4,14 @@ An order-``m`` dimensional-``n`` Hankel tensor is determined by a generating
 vector ``v`` of length ``(n-1)*m + 1``: the entry at (1-based) index
 ``(i_1, ..., i_m)`` is ``v[i_1 + ... + i_m - m]``.  Forms and gradients are
 evaluated through polynomial coefficient convolutions, which keeps the cost
-polynomial in ``m`` and ``n``; a dense enumeration path is kept as ground
-truth for testing.
+polynomial in ``m`` and ``n``.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_DENSE_CAP = 10**7
 
 
 def _as_finite_vector(x, name):
@@ -52,26 +47,6 @@ class HankelTensor:
         gen = gen.copy()
         gen.flags.writeable = False
         object.__setattr__(self, "gen", gen)
-
-
-@dataclass(frozen=True)
-class DenseSymmetricTensor:
-    """Fully materialised symmetric tensor (row-major flat entries)."""
-
-    order: int
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        size = self.dim**self.order
-        if size > _DENSE_CAP:
-            raise ValueError(f"dense size {size} exceeds the cap {_DENSE_CAP}")
-        entries = _as_finite_vector(self.entries, "entries")
-        if entries.shape[0] != size:
-            raise ValueError(f"entries has length {entries.shape[0]}, expected {size}")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
 
 
 def make_hankel(order, dim, gen):
@@ -143,25 +118,3 @@ def hadamard(a, b):
     if a.order != b.order or a.dim != b.dim:
         raise ValueError("operands must share order and dim")
     return HankelTensor(a.order, a.dim, np.asarray(a.gen) * np.asarray(b.gen))
-
-def to_dense(a):
-    """Materialise every entry (index-sum lookup into the generating vector)."""
-    size = a.dim**a.order
-    if size > _DENSE_CAP:
-        raise ValueError(f"dense size {size} exceeds the cap {_DENSE_CAP}")
-    sums = np.zeros(1, dtype=np.int64)
-    for _ in range(a.order):
-        sums = (sums[:, None] + np.arange(a.dim, dtype=np.int64)[None, :]).ravel()
-    return DenseSymmetricTensor(a.order, a.dim, np.asarray(a.gen)[sums])
-
-
-def dense_eval(d, x):
-    """Naive form evaluation over all dim^order index tuples (ground truth)."""
-    x = _as_finite_vector(x, "x")
-    if x.shape[0] != d.dim:
-        raise ValueError(f"x has length {x.shape[0]}, expected dim = {d.dim}")
-    total = 0.0
-    entries = d.entries
-    for flat, idx in enumerate(itertools.product(range(d.dim), repeat=d.order)):
-        total += entries[flat] * math.prod(x[i] for i in idx)
-    return float(total)

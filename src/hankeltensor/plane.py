@@ -8,7 +8,6 @@ extreme Z-eigenvalues of P.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,8 @@ def phi_eval(p, t):
     Runs de Casteljau on the Bernstein coefficients b_k = p_{l-k}; the
     endpoints come out exactly as phi(0) = p_l and phi(1) = p_0.
     """
-    return polyroots._value(np.asarray(p.coeffs, dtype=float)[::-1], float(t))
+    t = float(t)
+    return float(polyroots._value(np.asarray(p.coeffs, dtype=float)[::-1], 1.0 - t, t))
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,10 @@ class PlaneExtremes:
 
 
 def eval_plane(p, y1, y2):
-    """Form value(s) at (y1, y2); arguments may be arrays."""
-    l = p.degree
-    k = np.arange(l + 1, dtype=float)
-    w = np.array([math.comb(l, j) for j in range(l + 1)], dtype=float) * np.asarray(p.coeffs)
-    y1 = np.asarray(y1, dtype=float)[..., None]
-    y2 = np.asarray(y2, dtype=float)[..., None]
-    val = np.sum(w * y1 ** (l - k) * y2**k, axis=-1)
+    """Form value(s) at (y1, y2) by homogeneous de Casteljau; arguments may be arrays."""
+    y1, y2 = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
+    b = np.asarray(p.coeffs, dtype=float).reshape((-1,) + (1,) * y1.ndim)
+    val = polyroots._value(b, y1, y2)
     return float(val) if val.ndim == 0 else val
 
 

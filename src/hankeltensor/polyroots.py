@@ -35,11 +35,16 @@ def _halving(l):
     return left, right
 
 
-def _value(b, t):
-    """de Casteljau evaluation of sum_k b_k C(l,k) (1-t)^(l-k) t^k."""
-    for _ in range(b.size - 1):
-        b = (1.0 - t) * b[:-1] + t * b[1:]
-    return float(b[0])
+def _value(b, y1, y2):
+    """Homogeneous de Casteljau evaluation of sum_k b_k C(l,k) y1^(l-k) y2^k.
+
+    The coefficients run along the first axis of ``b``, so ``y1`` and ``y2``
+    may be arrays that broadcast against ``b[0]``.  The segment value at t is
+    the value at (1-t, t).
+    """
+    for _ in range(b.shape[0] - 1):
+        b = y1 * b[:-1] + y2 * b[1:]
+    return b[0]
 
 
 def _falsi(b, lo, hi, flo, fhi):
@@ -62,7 +67,7 @@ def _falsi(b, lo, hi, flo, fhi):
             width = hi - lo
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-        ft = _value(b, t)
+        ft = float(_value(b, 1.0 - t, t))
         if ft == 0.0:
             return t
         if (ft > 0.0) == (fhi > 0.0):

@@ -5,9 +5,10 @@ The shift adapts to the local curvature (the gradient's Jacobian is itself a
 small Hankel matrix, so it costs one extra correlation per step) and any step
 that would lower the Rayleigh value is rejected while the shift doubles
 toward a globally sufficient cap, so every restart ascends monotonically.
-Restarts combine the coordinate directions, a seed derived from the
-associated plane tensor's circle extremes, and seeded random directions; this
-makes the plane-derived bounds hold against the estimates by construction.
+Restarts combine the coordinate directions, the associated plane tensor's
+circle extreme lifted to the unit sphere (the point where the plane bound is
+taken), and seeded random directions; this makes the plane-derived bounds
+hold against the estimates by construction.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 """
@@ -17,12 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
 
 import numpy as np
 
 from . import polyroots
-from .associated import PlaneTensor, _counts_all, assoc_plane
+from .associated import _PLANE_DEGREE_CAP, PlaneTensor, _counts_all, assoc_plane
 from .core import HankelTensor, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
@@ -42,8 +43,8 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class ZBounds:
-    upper_for_min: Optional[float]
-    lower_for_max: Optional[float]
+    upper_for_min: float
+    lower_for_max: float
     source: str
 
 
@@ -64,27 +65,25 @@ def _grad_and_jacobian(work, x, outer_idx):
     return m_mat @ x, m_mat
 
 
-def _vandermonde_unit(y, dim):
-    """Unit vector (1, u, ..., u^(n-1))/norm for u = y2/y1, or e_n when y1 ~ 0."""
-    if abs(y[0]) <= 1e-12:
-        e = np.zeros(dim)
-        e[-1] = 1.0
-        return e
-    u = y[1] / y[0]
-    vec = u ** np.arange(dim)
-    return vec / np.linalg.norm(vec)
+@lru_cache(maxsize=8)
+def _plane_lifts(order, dim, gen_bytes):
+    """Unit vectors x_min, x_max where the form takes its plane's circle extremes.
 
-
-def _plane_seed(work):
-    """Start vector realising the plane tensor's extreme value as a form value."""
-    if work.dim == 2:
-        ext = z_extremes(PlaneTensor(work.order, work.gen))
-        return ext.y_max
-    top = (work.dim - 1) * work.order
-    if top % 2 == 1 or top > 60:
-        return None
-    ext = z_extremes(assoc_plane(work))
-    return _vandermonde_unit(ext.y_max, work.dim)
+    The plane's circle extreme y lifts to w = (y1^(n-1-j) y2^j)_j, where
+    A w^m = P(y), so x = w/|w| carries the plane extreme onto the unit
+    sphere.  At dim 2 the plane is the tensor itself, at every order.
+    Memoised on the tensor's content: the min and max starts of
+    ``zeig_extreme`` and ``bounds_prop7`` share one ``z_extremes`` call.
+    """
+    gen = np.frombuffer(gen_bytes)
+    plane = PlaneTensor(order, gen) if dim == 2 else assoc_plane(HankelTensor(order, dim, gen))
+    ext = z_extremes(plane)
+    ys = np.array([ext.y_min, ext.y_max])
+    j = np.arange(dim)
+    w = ys[:, :1] ** (dim - 1 - j) * ys[:, 1:] ** j
+    lifts = w / np.linalg.norm(w, axis=1, keepdims=True)
+    lifts.flags.writeable = False
+    return lifts
 
 
 def _newton_polish(work, x, lam, outer_idx, steps=8):
@@ -132,10 +131,11 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     step fails to increase the Rayleigh value, so the iterate value never
     drops.  Each start finishes with a guarded Newton polish of the
     stationarity system.  ``mode='min'`` runs the method on -A.
-    Deterministic starts (coordinate vectors and the plane-extreme seed) are
-    always included; ``restarts`` seeded random starts are added.  The best
-    stationary pair over all starts is returned, with non-convergence
-    reported in-band.
+    Deterministic starts are always included: the coordinate vectors, and
+    the lifted plane extreme of the mode when dim is 2 or the plane degree
+    (dim-1)*order is even and within the cap.  ``restarts`` seeded random
+    starts are added.  The best stationary pair over all starts is returned,
+    with non-convergence reported in-band.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -158,9 +158,10 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         return (a.order - 1) * max(0.0, -low) + beta_pad
 
     starts = [np.eye(a.dim)[i] for i in range(a.dim)]
-    plane_seed = _plane_seed(work)
-    if plane_seed is not None:
-        starts.append(plane_seed)
+    top = (a.dim - 1) * a.order
+    if a.dim == 2 or (top % 2 == 0 and top <= _PLANE_DEGREE_CAP):
+        x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
+        starts.append(x_max if mode == "max" else x_min)
     for _ in range(restarts):
         v = rng.standard_normal(a.dim)
         starts.append(v / np.linalg.norm(v))
@@ -211,8 +212,11 @@ def heig_dim2(a):
     binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2, found by
     the Bernstein root engine over both charts of the projective line.
     Candidates are normalised to unit max-norm and kept only when the eigen
-    residual is within 1e-8 * (1 + |lambda|).  When the form vanishes (every
-    direction is an eigenvector) the axes are reported as representatives.
+    residual is within 1e-8 * (1 + |lambda|) and within
+    1e-8 * max(|A| |x|^(m-1)), the rounding scale of the gradient (|A| has
+    generating vector |v|), so a direction where A x^(m-1) is merely small
+    is not an eigenvector.  When the form vanishes (every direction is an
+    eigenvector) the axes are reported as representatives.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
@@ -224,6 +228,7 @@ def heig_dim2(a):
     g[m - 1 :] -= binom * v[:m]
     weights = np.array([math.comb(2 * m - 2, j) for j in range(2 * m - 1)], dtype=float)
     candidates = polyroots.form_directions(g / weights)
+    abs_a = HankelTensor(m, 2, np.abs(v))
 
     pairs = []
     for x in candidates:
@@ -236,7 +241,8 @@ def heig_dim2(a):
         lam_comps = [grad[i] / powers[i] for i in range(2) if abs(powers[i]) > 0.5]
         lam = float(lam_comps[0])
         residual = float(np.max(np.abs(grad - lam * powers)))
-        if residual <= 1e-8 * (1.0 + abs(lam)):
+        grad_scale = float(np.max(eval_gradient_form(abs_a, np.abs(x))))
+        if residual <= 1e-8 * min(1.0 + abs(lam), grad_scale):
             pairs.append(EigenPair("H", lam, x, True, residual))
 
     pairs.sort(key=lambda p: (-p.value, tuple(p.vector)))
@@ -258,34 +264,20 @@ def bounds_prop6(a):
     return ZBounds(min(vals), max(vals), "prop6")
 
 
-def _plane_to_sphere_scale(y, order, dim):
-    """Factor S with lambda(P) = S * (A u^m / ||u||^m) at the matched vector.
-
-    S(y) = (sum_{j<n} y1^(2(n-1-j)) y2^(2j))^(m/2); expanding S^2 shows it
-    equals sum_k s(k,m,n) y1^(2(L-k)) y2^(2k), the squared length of the
-    weighted power vector, so the ratio lambda(P)/S is always a form value on
-    the unit sphere.
-    """
-    j = np.arange(dim, dtype=float)
-    base = float(np.sum(y[0] ** (2.0 * (dim - 1 - j)) * y[1] ** (2.0 * j)))
-    return base ** (order / 2.0)
-
-
 def bounds_prop7(a):
     """Bounds from the associated plane tensor's circle extremes.
 
-    Requires (dim-1)*order even.  Bounds whose scale factor falls below
-    1e-14 are reported as absent (None).
+    Requires (dim-1)*order even and within the plane degree cap.  Each bound
+    is the form's value at a lifted circle extreme, a point of the unit
+    sphere, so it brackets the extreme Z-eigenvalue by construction.
     """
     top = (a.dim - 1) * a.order
     if top % 2 == 1:
         raise ValueError("bounds_prop7 requires (dim-1)*order to be even")
-    ext = z_extremes(assoc_plane(a))
-    s_min = _plane_to_sphere_scale(ext.y_min, a.order, a.dim)
-    s_max = _plane_to_sphere_scale(ext.y_max, a.order, a.dim)
-    upper = ext.lambda_min / s_min if s_min >= 1e-14 else None
-    lower = ext.lambda_max / s_max if s_max >= 1e-14 else None
-    return ZBounds(upper, lower, "prop7")
+    if top > _PLANE_DEGREE_CAP:
+        raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
+    x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
+    return ZBounds(eval_form(a, x_min), eval_form(a, x_max), "prop7")
 
 
 def odd_sign_check(pair, cls, order):

@@ -110,6 +110,12 @@ def decompose(a, nodes=None):
     cos(k pi / (r-1)) for k = 0..r-1 with r = (n-1)m + 1.  Coefficients below
     1e-12 of the largest are dropped.  A residual above 1e-6 * ||gen|| aborts
     with a numerical error.
+
+    Working range with the default nodes: the round trip through ``compose``
+    stays within 1e-8 * max|v| up to (n-1)m = 20, and its error grows about
+    2.5x per degree beyond that.  A ``NumericalError`` becomes possible from
+    degree 30 and is certain from degree 34, well inside the plane degree
+    cap of 60 that the other routines accept.
     """
     r = (a.dim - 1) * a.order + 1
     if nodes is None:

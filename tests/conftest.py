@@ -1,7 +1,14 @@
+import itertools
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from hankeltensor import DiscreteMeasure, VandermondeDecomposition, make_hankel
+from hankeltensor.core import _as_finite_vector
+
+_DENSE_CAP = 10**7
 
 
 def random_hankel(rng, order, dim, scale=1.0):
@@ -24,6 +31,49 @@ def random_measure(rng, max_nodes=6):
 def random_positive_decomposition(rng, max_terms=5):
     k = int(rng.integers(1, max_terms + 1))
     return VandermondeDecomposition(distinct_nodes(rng, k), rng.uniform(0.2, 1.0, k))
+
+
+@dataclass(frozen=True)
+class DenseSymmetricTensor:
+    """Fully materialised symmetric tensor (row-major flat entries)."""
+
+    order: int
+    dim: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        size = self.dim**self.order
+        if size > _DENSE_CAP:
+            raise ValueError(f"dense size {size} exceeds the cap {_DENSE_CAP}")
+        entries = _as_finite_vector(self.entries, "entries")
+        if entries.shape[0] != size:
+            raise ValueError(f"entries has length {entries.shape[0]}, expected {size}")
+        entries = entries.copy()
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+
+
+def to_dense(a):
+    """Materialise every entry (index-sum lookup into the generating vector)."""
+    size = a.dim**a.order
+    if size > _DENSE_CAP:
+        raise ValueError(f"dense size {size} exceeds the cap {_DENSE_CAP}")
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(a.order):
+        sums = (sums[:, None] + np.arange(a.dim, dtype=np.int64)[None, :]).ravel()
+    return DenseSymmetricTensor(a.order, a.dim, np.asarray(a.gen)[sums])
+
+
+def dense_eval(d, x):
+    """Naive form evaluation over all dim^order index tuples (ground truth)."""
+    x = _as_finite_vector(x, "x")
+    if x.shape[0] != d.dim:
+        raise ValueError(f"x has length {x.shape[0]}, expected dim = {d.dim}")
+    total = 0.0
+    entries = d.entries
+    for flat, idx in enumerate(itertools.product(range(d.dim), repeat=d.order)):
+        total += entries[flat] * math.prod(x[i] for i in idx)
+    return float(total)
 
 
 @pytest.fixture

@@ -6,15 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hankeltensor import (
-    dense_eval,
     entry,
     eval_form,
     eval_gradient_form,
     hadamard,
     make_hankel,
-    to_dense,
 )
-from conftest import random_hankel
+from conftest import dense_eval, random_hankel, to_dense
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 

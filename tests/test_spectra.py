@@ -3,18 +3,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hankeltensor import (
+    DiscreteMeasure,
     EigenPair,
+    assoc_plane,
     bounds_prop6,
     bounds_prop7,
     compose,
     copositive_falsify,
     eval_form,
     eval_gradient_form,
+    from_measure,
     heig_dim2,
     make_hankel,
     odd_sign_check,
+    z_extremes,
     zeig_extreme,
 )
+from hankeltensor import spectra
 from conftest import random_hankel, random_positive_decomposition
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
@@ -90,6 +95,32 @@ class TestZeig:
             a = random_hankel(rng, int(rng.integers(1, 3)) * 2 + 1, 2)
             assert zmin(a).value == pytest.approx(-zmax(a).value, abs=1e-7)
 
+    def test_dim2_odd_order_matches_circle_extremes(self, rng):
+        # at odd order -y is the other extreme, so each mode needs its own start
+        for order in (3, 5):
+            for _ in range(20):
+                a = random_hankel(rng, order, 2)
+                ext = z_extremes(assoc_plane(a))
+                for mode, lam in (("min", ext.lambda_min), ("max", ext.lambda_max)):
+                    pair = zeig_extreme(a, mode, restarts=4, iters=300)
+                    assert abs(pair.value - lam) <= 1e-9 * (1.0 + abs(lam))
+
+    def test_plane_extremes_computed_once_per_tensor(self, monkeypatch):
+        calls = []
+        original = spectra.z_extremes
+
+        def counting(p):
+            calls.append(p.degree)
+            return original(p)
+
+        monkeypatch.setattr(spectra, "z_extremes", counting)
+        spectra._plane_lifts.cache_clear()
+        a = make_hankel(4, 3, np.linspace(-1.0, 0.5, 9))
+        zeig_extreme(a, "min")
+        zeig_extreme(a, "max")
+        bounds_prop7(a)
+        assert calls == [8]
+
     def test_deterministic(self):
         a = make_hankel(3, 3, np.linspace(-1, 1, 7))
         p1 = zmax(a, restarts=5, seed=42)
@@ -139,6 +170,20 @@ class TestHeigDim2:
             for p in heig_dim2(a):
                 lhs = eval_gradient_form(a, p.vector)
                 assert_allclose(lhs, p.value * p.vector ** (m - 1), atol=1e-7)
+
+    def test_small_gradient_is_not_an_eigenvector(self):
+        # at (0, 1) the gradient (6.8e-9, 3.3e-9) is not parallel to x^[26]
+        # = (0, 1); only its size passes the absolute residual test
+        a = from_measure(
+            DiscreteMeasure([0.48935747830862475, 0.11919582900698633], [0.7937945369071366, 0.4754797265597622]),
+            27,
+            2,
+        )
+        pairs = heig_dim2(a)
+        assert not any(np.allclose(p.vector, [0.0, 1.0]) for p in pairs)
+        assert len(pairs) == 3
+        assert_allclose([p.value for p in pairs[:2]], [19805.061397430425, 0.02308835464791862], rtol=1e-9)
+        assert abs(pairs[2].value) < 1e-15  # (-1/3, 1): below the gradient's rounding level
 
     def test_degenerate_pencil(self):
         # zero tensor: every direction is an eigenvector for lambda = 0

@@ -63,6 +63,14 @@ class TestDecompose:
             worst = max(worst, float(np.max(np.abs(b.gen - a.gen))))
         assert worst <= 1e-8
 
+    def test_roundtrip_at_degree_20(self, rng):
+        # the documented working range of the default Chebyshev nodes
+        for order, dim in [(2, 11), (4, 6), (5, 5), (10, 3), (20, 2)]:
+            for _ in range(8):
+                a = random_hankel(rng, order, dim)
+                b = compose(decompose(a), order, dim)
+                assert np.max(np.abs(b.gen - a.gen)) <= 1e-8 * np.max(np.abs(a.gen))
+
     def test_custom_nodes_roundtrip(self, rng):
         a = random_hankel(rng, 3, 3)
         nodes = np.linspace(-2.0, 2.0, 7)
