@@ -19,7 +19,7 @@ print(f"is_strong -> {cert.is_strong}")
 print(f"  smallest eigenvalue after completion: {cert.min_eigenvalue:.2e}")
 print(f"  free corner entry chosen: {cert.completion_used:.6f}")
 print("  (odd-length generating vectors leave one matrix corner free;")
-print("   the test picks the completion that minimises the Schur residual)")
+print("   the test uses the smallest one that can work, here the next moment)")
 
 nu = DiscreteMeasure(nodes=[0.5, 0.0, -0.25], weights=[1.0, 0.5, 2.0])
 b = from_measure(nu, order=3, dim=2)

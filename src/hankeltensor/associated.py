@@ -4,8 +4,10 @@ Two companions drive most structural results: the associated Hankel *matrix*
 (whose positive semidefiniteness defines strong Hankel tensors) and the
 associated *plane tensor*, a binary form of degree ``(n-1)*m`` carrying the
 entry-count weights ``s(k, m, n)``.  When ``(n-1)*m`` is odd the matrix has
-one free corner entry; strength is then decided existentially over that
-completion through a Schur-complement test.
+one free corner entry, and the tensor is strong iff some completion makes it
+PSD, which holds iff the minimal completion c* = b^T P^+ b does.  Strength is
+one eigenvalue test at every degree: the (minimally completed) matrix's
+smallest eigenvalue must be at least ``-tol * max(1, max |v|)``.
 """
 
 from __future__ import annotations
@@ -126,57 +128,30 @@ class StrongCertificate:
 def is_strong(a, tol=1e-10):
     """Decide whether ``a`` is a strong Hankel tensor.
 
-    Even ``(n-1)*m``: PSD test on the (unique) associated matrix.  Odd: with
-    M(c) = [[P, b], [b^T, c]], some completion makes M(c) PSD iff P is PSD and
-    b lies in range(P); the minimal completion b^T P^+ b is reported and
-    certified.  When not strong, a violation vector z with z^T M z < 0 for the
-    reported matrix is returned.
+    One test decides at every degree: the smallest eigenvalue of the
+    associated matrix must be at least ``-cut``, with
+    ``cut = tol * max(1, max |v|)``.  Even ``(n-1)*m``: the matrix is unique.
+    Odd: M(c) = [[P, b], [b^T, c]] is tested at the minimal completion
+    c* = sum_i bh_i^2 / lam_i over the eigenpairs (lam_i, V_i) of P with
+    lam_i > cut, where bh = V^T b; some c makes M(c) PSD iff M(c*) is.  The
+    cut does not grow with c*, which reaches about 1/tol when P has an
+    eigenvalue just above the cut, so a large c* cannot mask an indefinite P.
+    When not strong, the violation vector is the unit eigenvector of M's
+    smallest eigenvalue, so z^T M z = min_eigenvalue < 0 for the reported
+    matrix.
     """
-    top = (a.dim - 1) * a.order
-    if top % 2 == 0:
-        hm = assoc_matrix(a)
-        m = hm.matrix()
-        ok, min_eig, witness = psd_check(m, tol)
-        return StrongCertificate(ok, min_eig, None, None if ok else witness)
-
-    scale = max(1.0, float(np.max(np.abs(a.gen))))
-    q = (top + 3) // 2
-    full0 = np.concatenate([np.asarray(a.gen), [0.0]])
-    i = np.arange(q)
-    m0 = full0[i[:, None] + i[None, :]]
-    p = m0[:-1, :-1]
-    b = m0[:-1, -1]
-
-    pinv = np.linalg.pinv(p, rcond=tol)
-    z = pinv @ b
-    completion = float(b @ z)
-    residual = float(np.linalg.norm(p @ z - b))
-    p_ok, p_min, p_witness = psd_check(p, tol)
-
-    m_star = m0.copy()
-    m_star[-1, -1] = completion
-    ok_star, min_eig, w_star = psd_check(m_star, tol)
-
-    if p_ok and residual <= tol * scale:
-        return StrongCertificate(True, min_eig, completion, None)
-
-    # best-effort violation vector for M(completion): try the direct
-    # eigenvector, a padded witness of P, and a residual-direction vector
-    candidates = []
-    if w_star is not None:
-        candidates.append(w_star)
-    if p_witness is not None:
-        candidates.append(np.concatenate([p_witness, [0.0]]))
-    r = b - p @ z
-    rn = float(np.linalg.norm(r))
-    if rn > 0:
-        z0 = r / rn
-        t = -rn / completion if completion > 0 else -1.0
-        cand = np.concatenate([z0, [t]])
-        candidates.append(cand / np.linalg.norm(cand))
-    forms = [float(c @ m_star @ c) for c in candidates]
-    worst = candidates[int(np.argmin(forms))]
-    return StrongCertificate(False, min_eig, completion, worst)
+    cut = tol * max(1.0, float(np.max(np.abs(a.gen))))
+    completion = None
+    if (a.dim - 1) * a.order % 2:
+        m0 = assoc_matrix(a).matrix()
+        lam, vecs = np.linalg.eigh(m0[:-1, :-1])
+        bh = vecs.T @ m0[:-1, -1]
+        keep = lam > cut
+        completion = float(np.sum(bh[keep] ** 2 / lam[keep]))
+    vals, vecs = np.linalg.eigh(assoc_matrix(a, completion).matrix())
+    min_eig = float(vals[0])
+    ok = min_eig >= -cut
+    return StrongCertificate(ok, min_eig, completion, None if ok else vecs[:, 0])
 
 
 @dataclass(frozen=True)

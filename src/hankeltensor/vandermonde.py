@@ -23,12 +23,12 @@ _RESIDUAL_REL = 1e-6
 
 
 def _check_distinct(nodes, name):
-    n = nodes.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sep = abs(nodes[i] - nodes[j])
-            if sep <= _NODE_MERGE_REL * max(1.0, abs(nodes[i]), abs(nodes[j])):
-                raise ValueError(f"{name} must be pairwise distinct (collision at {nodes[i]!r})")
+    # A colliding pair brackets a colliding sorted neighbour pair: the one at
+    # its larger-magnitude end has a gap no wider and a bound no smaller.
+    s = np.sort(nodes)
+    hit = np.diff(s) <= _NODE_MERGE_REL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+    if np.any(hit):
+        raise ValueError(f"{name} must be pairwise distinct (collision at {s[np.argmax(hit)]!r})")
 
 
 @dataclass(frozen=True)

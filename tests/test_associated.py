@@ -6,18 +6,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hankeltensor import (
+    DiscreteMeasure,
     assoc_matrix,
     assoc_plane,
     copositive_necessary,
     count_s,
     eval_form,
+    from_measure,
     is_strong,
     make_hankel,
     psd_check,
 )
-from conftest import random_hankel
+from conftest import distinct_nodes, random_hankel, random_measure
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
+# every (order, dim) with (dim - 1) * order odd and at most 30
+ODD_SHAPES = [(m, 2) for m in range(3, 30, 2)] + [
+    (3, 4), (3, 6), (3, 8), (3, 10), (5, 4), (5, 6), (7, 4), (9, 4)
+]
 
 
 def brute_count(k, order, dim):
@@ -157,9 +163,80 @@ class TestIsStrong:
         assert cert.violation_vector @ m @ cert.violation_vector < 0
 
     def test_odd_case_block_failure(self):
-        # P itself indefinite
-        cert = is_strong(make_hankel(3, 2, [0.0, 0.0, -1.0, 0.0]))
-        assert not cert.is_strong
+        # P itself indefinite; in the second case P also has the eigenvalue
+        # 2e-10, just above the cut, so the completion is 5e9 and a threshold
+        # scaled by the completed matrix would pass the -1e-4 eigenvalue
+        for gen in ([0.0, 0.0, -1.0, 0.0], [1.0, 0.01, 0.0, 0.0, 2e-10, 1.0]):
+            cert = is_strong(make_hankel(len(gen) - 1, 2, gen))
+            assert not cert.is_strong
+            assert cert.min_eigenvalue < -1e-5
+
+    @pytest.mark.parametrize(
+        "nodes, weights, order, dim",
+        [
+            (
+                [-0.9380102803718009, -0.8202633079220121, -0.6963758487713647, -0.33417803659989276, -0.13237336735402772],
+                [0.9124049565560147, 0.06409039781496906, 0.44834050983301055, 0.4353444633861965, 0.07713023107025874],
+                3, 4,
+            ),
+            (
+                [-0.5772296891002251, -0.25551795160996216, -0.18149709763284383, -0.12186357897527245, 0.9905996067757221],
+                [0.8584353255541872, 0.6209088984199513, 0.19391794786825467, 0.687914521389034, 0.7589990022820635],
+                9, 4,
+            ),
+        ],
+    )
+    def test_nearly_singular_block_is_strong(self, nodes, weights, order, dim):
+        cert = is_strong(from_measure(DiscreteMeasure(nodes, weights), order, dim))
+        assert cert.is_strong and cert.violation_vector is None
+        next_moment = np.dot(weights, np.array(nodes) ** ((dim - 1) * order + 1))
+        assert cert.completion_used == pytest.approx(next_moment, abs=1e-7)
+
+    def test_completion_is_next_moment(self, rng):
+        # with at most as many nodes as P has rows, b lies in range(P) and the
+        # minimal completion is the next moment (a flat extension)
+        for order, dim in ODD_SHAPES:
+            top = (dim - 1) * order
+            for _ in range(20):
+                k = int(rng.integers(1, min(6, (top + 1) // 2) + 1))
+                nodes, weights = distinct_nodes(rng, k, sep=1e-3), rng.uniform(0.0, 1.0, k)
+                a = from_measure(DiscreteMeasure(nodes, weights), order, dim)
+                cert = is_strong(a)
+                assert cert.is_strong
+                scale = max(1.0, float(np.max(np.abs(a.gen))))
+                assert abs(cert.completion_used - weights @ nodes ** (top + 1)) <= 1e-7 * scale
+
+    def test_violation_vectors_are_violations(self, rng):
+        # random tensors, and tensors whose b misses range(P): the case above,
+        # and moment tensors with fewer nodes than P has rows and v_top moved
+        cases = [(make_hankel(3, 2, [0.0, 0.0, 1.0, 0.0]), True)]
+        for order, dim in ODD_SHAPES:
+            cases += [(random_hankel(rng, order, dim), False) for _ in range(10)]
+            top = (dim - 1) * order
+            gen = from_measure(random_measure(rng, min(6, (top - 1) // 2)), order, dim).gen.copy()
+            gen[-1] += 1e-3
+            cases.append((make_hankel(order, dim, gen), True))
+        for a, off_range in cases:
+            cert = is_strong(a)
+            assert not (off_range and cert.is_strong)
+            if not cert.is_strong:
+                z = cert.violation_vector
+                m = assoc_matrix(a, cert.completion_used).matrix()
+                assert z @ m @ z < 0
+                assert z @ m @ z == pytest.approx(cert.min_eigenvalue, rel=1e-8, abs=1e-12)
+
+    def test_even_degree_is_psd_check(self, rng):
+        for order, dim in [(2, 2), (4, 2), (6, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4)]:
+            for a in (random_hankel(rng, order, dim), from_measure(random_measure(rng), order, dim)):
+                cert = is_strong(a)
+                ok, min_eig, witness = psd_check(assoc_matrix(a).matrix())
+                assert cert.is_strong is ok
+                assert cert.min_eigenvalue == min_eig
+                assert cert.completion_used is None
+                if ok:
+                    assert cert.violation_vector is None and witness is None
+                else:
+                    assert np.array_equal(cert.violation_vector, witness)
 
     def test_completion_monotonicity(self):
         a = make_hankel(3, 2, [1.0, 1.0, 1.0, 1.0])

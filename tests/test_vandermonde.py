@@ -107,6 +107,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             VandermondeDecomposition([1.0], [1.0, 2.0])
 
+    def test_collision_between_non_adjacent_nodes(self):
+        # the rule is relative: 1e-12 * max(1, |u|, |w|)
+        for nodes in ([0.5, -1.0, 0.5 + 1e-14], [1e6, 0.0, 1e6 + 1e-7]):
+            with pytest.raises(ValueError):
+                VandermondeDecomposition(nodes, [1.0, 1.0, 1.0])
+            with pytest.raises(ValueError):
+                DiscreteMeasure(nodes, [1.0, 1.0, 1.0])
+        for nodes in ([0.5, -1.0, 0.5 + 1e-11], [1e6, 0.0, 1e6 + 1e-5]):
+            assert len(VandermondeDecomposition(nodes, [1.0, 1.0, 1.0])) == 3
+
     def test_is_positive(self):
         assert is_positive(VandermondeDecomposition([1.0, 2.0], [0.5, 3.0]))
         assert not is_positive(VandermondeDecomposition([1.0, 2.0], [0.5, -3.0]))
