@@ -92,6 +92,26 @@ def _power_coeffs(x, power):
     return c
 
 
+def _forms(a, xs):
+    """A x^m for every row x of ``xs``, an array of shape (N, n).
+
+    The coefficients of p(t)^m are built for all rows at once: each of the
+    m-1 multiplications by p is n shifted multiply-adds on a (deg, N)
+    array, one coefficient per row so that every update runs along
+    contiguous memory, followed by one product with the generating vector.
+    """
+    n = xs.shape[1]
+    xt = np.ascontiguousarray(xs.T)
+    c = xt
+    for _ in range(a.order - 1):
+        deg = c.shape[0]
+        nxt = np.zeros((deg + n - 1, xs.shape[0]))
+        for i in range(n):
+            nxt[i : i + deg] += xt[i] * c
+        c = nxt
+    return a.gen @ c
+
+
 def eval_form(a, x):
     """Evaluate the homogeneous form A x^m.
 

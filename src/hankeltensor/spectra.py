@@ -11,12 +11,17 @@ taken), and seeded random directions; this makes the plane-derived bounds
 hold against the estimates by construction.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
+Copositivity falsification evaluates the form on the simplex grid in row
+chunks, through one batched kernel per chunk, in the order of
+``itertools.combinations``; the first grid minimum wins, so ties on the grid
+keep the earliest point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,12 +29,13 @@ import numpy as np
 
 from . import polyroots
 from .associated import _PLANE_DEGREE_CAP, PlaneTensor, _counts_all, assoc_plane
-from .core import HankelTensor, _power_coeffs, eval_form, eval_gradient_form
+from .core import HankelTensor, _forms, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
 _RESIDUAL_OK_REL = 1e-8
 _WITNESS_LEVEL = -1e-12
+_GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -316,35 +322,48 @@ def _project_simplex(x):
     return np.maximum(x - theta, 0.0)
 
 
-def _simplex_grid(dim, steps):
-    """All barycentric grid points with denominator ``steps``."""
-    for cuts in itertools.combinations(range(steps + dim - 1), dim - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(steps + dim - 2 - prev)
-        yield np.array(parts, dtype=float) / steps
+def _simplex_chunks(dim, steps):
+    """The barycentric grid with denominator ``steps``, in row chunks.
+
+    Rows follow ``itertools.combinations`` of the dim-1 cut positions among
+    steps+dim-1 slots; the parts are the gaps between consecutive cuts.
+    """
+    cuts = itertools.combinations(range(steps + dim - 1), dim - 1)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(cuts, _GRID_CHUNK))
+        block = np.fromiter(flat, dtype=np.intp).reshape(-1, dim - 1)
+        if block.shape[0] == 0:
+            return
+        # sentinel cuts one slot before the first and one past the last
+        ends = np.full((block.shape[0], 1), -1)
+        parts = np.diff(np.hstack([ends, block, ends + steps + dim]), axis=1) - 1
+        yield parts / steps
 
 
 def copositive_falsify(a, depth=1):
     """Search the simplex for a point with A x^m < -1e-12.
 
-    Scans the barycentric grid of step 1/(64*depth), then polishes the worst
-    point with 20 projected-gradient steps.  Returns the witness vector or
-    None; absence of a witness is not a copositivity certificate.
+    Scans the barycentric grid of step 1/(64*depth) in row chunks, in the
+    order of ``itertools.combinations`` of its cut positions, and keeps the
+    first grid minimum.  The worst point is then polished with 20
+    projected-gradient steps.  Returns the witness vector or None; absence
+    of a witness is not a copositivity certificate.
     """
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise TypeError(f"depth must be an integer, not {type(depth).__name__}") from None
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = 64 * depth
     best_x, best_f = None, np.inf
-    for x in _simplex_grid(a.dim, steps):
-        f = eval_form(a, x)
-        if f < best_f:
-            best_x, best_f = x, f
+    for xs in _simplex_chunks(a.dim, steps):
+        fs = _forms(a, xs)
+        i = int(np.argmin(fs))
+        if fs[i] < best_f:
+            best_x, best_f = xs[i].copy(), fs[i]
 
-    x, fx = best_x, best_f
+    x, fx = best_x, eval_form(a, best_x)
     for _ in range(20):
         g = a.order * eval_gradient_form(a, x)
         eta = 1.0 / (1.0 + float(np.linalg.norm(g)))

@@ -87,14 +87,12 @@ def _moment_solve(nodes, rhs):
     u = np.asarray(nodes, dtype=float)
     z = np.asarray(rhs, dtype=float).copy()
     r = u.shape[0]
+    # each slice update reads only entries it has not yet overwritten
     for k in range(r - 1):
-        for j in range(r - 1, k, -1):
-            z[j] -= u[k] * z[j - 1]
+        z[k + 1 :] -= u[k] * z[k : r - 1]
     for k in range(r - 2, -1, -1):
-        for j in range(k + 1, r):
-            z[j] /= u[j] - u[j - k - 1]
-        for j in range(k, r - 1):
-            z[j] -= z[j + 1]
+        z[k + 1 :] /= u[k + 1 :] - u[: r - k - 1]
+        z[k : r - 1] = z[k : r - 1] - z[k + 1 :]
     return z
 
 

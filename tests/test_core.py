@@ -12,6 +12,7 @@ from hankeltensor import (
     hadamard,
     make_hankel,
 )
+from hankeltensor.core import _forms
 from conftest import dense_eval, random_hankel, to_dense
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
@@ -189,3 +190,22 @@ def test_dense_eval_matches_fast_path(rng):
         a = random_hankel(rng, order, dim)
         x = rng.uniform(-1, 1, dim)
         assert dense_eval(to_dense(a), x) == pytest.approx(eval_form(a, x), rel=1e-10, abs=1e-12)
+
+
+def test_forms_match_eval_form_row_by_row(rng):
+    # each path is within ((m-1)n + L) eps |A| |x|^m of the exact value
+    # (|A| has generating vector |v|), so they differ by at most twice that
+    eps = np.finfo(float).eps
+    for order in range(2, 7):
+        for dim in range(2, 6):
+            a = random_hankel(rng, order, dim)
+            abs_a = make_hankel(order, dim, np.abs(a.gen))
+            simplex = rng.dirichlet(np.ones(dim), 20)
+            sphere = rng.standard_normal((20, dim))
+            sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+            xs = np.vstack([simplex, sphere])
+            got = _forms(a, xs)
+            assert got.shape == (40,)
+            bound = 2 * ((order - 1) * dim + a.gen.shape[0]) * eps
+            for x, f in zip(xs, got):
+                assert abs(f - eval_form(a, x)) <= bound * eval_form(abs_a, np.abs(x))

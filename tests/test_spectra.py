@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,10 +22,53 @@ from hankeltensor import (
     zeig_extreme,
 )
 from hankeltensor import spectra
-from conftest import random_hankel, random_positive_decomposition
+from conftest import random_hankel, random_measure, random_positive_decomposition
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 CROSS_NEG = make_hankel(4, 2, [0.0, 0.0, -1.0 / 6.0, 0.0, 0.0])
+
+
+def loop_simplex_grid(dim, steps):
+    # reference generator: one grid point per yield, in itertools.combinations
+    # order of the cuts
+    for cuts in itertools.combinations(range(steps + dim - 1), dim - 1):
+        prev = -1
+        parts = []
+        for c in cuts:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(steps + dim - 2 - prev)
+        yield np.array(parts, dtype=float) / steps
+
+
+def loop_scan(a, depth=1):
+    # point-by-point scan with eval_form; the first grid minimum wins
+    best_x, best_f = None, np.inf
+    for x in loop_simplex_grid(a.dim, 64 * depth):
+        f = eval_form(a, x)
+        if f < best_f:
+            best_x, best_f = x, f
+    return best_x
+
+
+def polish(a, x):
+    # the 20 projected-gradient steps that follow the scan
+    fx = eval_form(a, x)
+    for _ in range(20):
+        g = a.order * eval_gradient_form(a, x)
+        eta = 1.0 / (1.0 + float(np.linalg.norm(g)))
+        improved = False
+        for _ in range(12):
+            xn = spectra._project_simplex(x - eta * g)
+            fn = eval_form(a, xn)
+            if fn < fx:
+                x, fx = xn, fn
+                improved = True
+                break
+            eta *= 0.5
+        if not improved:
+            break
+    return x if fx < -1e-12 else None
 
 
 def zmin(a, **kw):
@@ -315,3 +360,52 @@ class TestCopositiveFalsify:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             copositive_falsify(CROSS_NEG, depth=0)
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            copositive_falsify(CROSS_NEG, depth=2.0)
+        w = copositive_falsify(CROSS_NEG, depth=np.int64(2))
+        assert w.tobytes() == copositive_falsify(CROSS_NEG, depth=2).tobytes()
+
+    @pytest.mark.parametrize(
+        "dim, steps",
+        # 4095 and 4096 steps at dim 2 end exactly on, and one row past, a chunk
+        [(d, s) for d in (2, 3, 4) for s in (64, 128)] + [(2, 4095), (2, 4096)],
+    )
+    def test_chunks_equal_the_point_generator(self, dim, steps):
+        ref = loop_simplex_grid(dim, steps)
+        for xs in spectra._simplex_chunks(dim, steps):
+            assert xs.shape[0] <= spectra._GRID_CHUNK
+            want = np.array(list(itertools.islice(ref, xs.shape[0])))
+            assert xs.tobytes() == want.tobytes()
+        assert next(ref, None) is None
+
+    @pytest.mark.parametrize("steps", [64, 128])
+    def test_chunks_start_like_the_point_generator_at_dim5(self, steps):
+        # 0.8 and 12.4 million rows in all: compare the first three chunks
+        got = np.vstack(list(itertools.islice(spectra._simplex_chunks(5, steps), 3)))
+        want = np.array(list(itertools.islice(loop_simplex_grid(5, steps), got.shape[0])))
+        assert got.shape[0] == 3 * spectra._GRID_CHUNK
+        assert got.tobytes() == want.tobytes()
+
+    def test_witness_equals_point_by_point_scan(self, rng):
+        kinds = ("random", "moment", "palindromic")
+        cases = [(m, n, k) for m in range(2, 6) for n in (2, 3) for k in kinds]
+        # the 47,905-point dim-4 grid costs the reference loop about 0.3 s
+        cases += [(2, 4, "random"), (3, 4, "moment"), (4, 4, "palindromic")]
+        for order, dim, kind in cases:
+            if kind == "moment":
+                a = from_measure(random_measure(rng), order, dim)
+            else:
+                a = random_hankel(rng, order, dim)
+            if kind == "palindromic":
+                a = make_hankel(order, dim, a.gen + a.gen[::-1])
+            start = loop_scan(a)
+            got, want = copositive_falsify(a), polish(a, start)
+            assert (got is None) == (want is None)
+            if got is None or got.tobytes() == want.tobytes():
+                continue
+            # the one documented rounding tie: a palindromic generating
+            # vector gives A x^m = A rev(x)^m exactly, the two scans round
+            # the mirror-image grid values differently, and the chunked scan
+            # polishes from the mirrored grid point
+            assert kind == "palindromic"
+            assert got.tobytes() == polish(a, start[::-1].copy()).tobytes()

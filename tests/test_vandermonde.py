@@ -14,7 +14,24 @@ from hankeltensor import (
     is_positive,
     make_hankel,
 )
-from conftest import random_hankel, random_measure, random_positive_decomposition
+from hankeltensor.vandermonde import _moment_solve
+from conftest import distinct_nodes, random_hankel, random_measure, random_positive_decomposition
+
+
+def loop_moment_solve(nodes, rhs):
+    # element-by-element elimination that the slice updates must reproduce
+    u = np.asarray(nodes, dtype=float)
+    z = np.asarray(rhs, dtype=float).copy()
+    r = u.shape[0]
+    for k in range(r - 1):
+        for j in range(r - 1, k, -1):
+            z[j] -= u[k] * z[j - 1]
+    for k in range(r - 2, -1, -1):
+        for j in range(k + 1, r):
+            z[j] /= u[j] - u[j - k - 1]
+        for j in range(k, r - 1):
+            z[j] -= z[j + 1]
+    return z
 
 
 class TestCompose:
@@ -96,6 +113,18 @@ class TestDecompose:
         nodes = 1.0 + 1e-9 * np.arange(13.0)
         with pytest.raises(NumericalError):
             decompose(a, nodes=nodes)
+
+
+class TestMomentSolve:
+    def test_equals_loop_elimination(self, rng):
+        for _ in range(300):
+            r = int(rng.integers(1, 40))
+            if rng.random() < 0.5:
+                nodes = np.cos(np.pi * np.arange(r) / max(r - 1, 1))
+            else:
+                nodes = distinct_nodes(rng, r, sep=1e-3)
+            rhs = rng.uniform(-1.0, 1.0, r)
+            assert _moment_solve(nodes, rhs).tobytes() == loop_moment_solve(nodes, rhs).tobytes()
 
 
 class TestTypes:
