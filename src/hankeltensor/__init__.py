@@ -15,7 +15,6 @@ from .associated import (
     copositive_necessary,
     count_s,
     is_strong,
-    psd_check,
 )
 from .core import (
     HankelTensor,
@@ -68,7 +67,6 @@ __all__ = [
     "StrongCertificate",
     "count_s",
     "assoc_matrix",
-    "psd_check",
     "is_strong",
     "assoc_plane",
     "copositive_necessary",

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HankelTensor, _as_finite_vector
+from .core import HankelTensor, _frozen_vector
 
 _PLANE_DEGREE_CAP = 60
 
@@ -61,15 +61,13 @@ class HankelMatrix:
     completion: Optional[float]
 
     def __post_init__(self):
-        w = _as_finite_vector(self.w, "w")
+        w = _frozen_vector(self.w, "w")
         need = 2 * self.size - 1
         have = w.shape[0] + (0 if self.completion is None else 1)
         if have != need:
             raise ValueError(f"matrix of size {self.size} needs {need} antidiagonal values, got {have}")
         if self.completion is not None and not np.isfinite(self.completion):
             raise ValueError("completion must be finite")
-        w = w.copy()
-        w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
     def matrix(self):
@@ -95,26 +93,6 @@ def assoc_matrix(a, completion=None):
         return HankelMatrix(q, a.gen, None)
     c = 0.0 if completion is None else float(completion)
     return HankelMatrix(q, a.gen, c)
-
-
-def psd_check(m, tol=1e-10):
-    """Decide positive semidefiniteness of a symmetric matrix.
-
-    Returns ``(is_psd, min_eigenvalue, witness)`` where the witness is a unit
-    eigenvector for the most negative eigenvalue (None when PSD).  The
-    threshold is relative: ``min_eig >= -tol * max(1, max |entry|)``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("m must be a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("m must contain only finite values")
-    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    min_eig = float(vals[0])
-    if min_eig >= -tol * scale:
-        return True, min_eig, None
-    return False, min_eig, vecs[:, 0]
 
 
 @dataclass(frozen=True)
@@ -167,11 +145,9 @@ class PlaneTensor:
     def __post_init__(self):
         if self.degree < 2:
             raise ValueError("degree must be at least 2")
-        coeffs = _as_finite_vector(self.coeffs, "coeffs")
+        coeffs = _frozen_vector(self.coeffs, "coeffs")
         if coeffs.shape[0] != self.degree + 1:
             raise ValueError(f"coeffs has length {coeffs.shape[0]}, expected degree+1 = {self.degree + 1}")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
 

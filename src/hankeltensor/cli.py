@@ -55,7 +55,7 @@ def _load_tensor(path):
 
 def _cmd_build(args):
     t = make_hankel(args.order, args.dim, _floats(args.gen, "--gen"))
-    _emit(args, serialize.tensor_to_dict(t))
+    _emit(args, serialize.to_dict(t))
     return 0
 
 
@@ -79,24 +79,14 @@ def _cmd_eval(args):
 def _cmd_assoc_matrix(args):
     t = _load_tensor(args.tensor)
     hm = associated.assoc_matrix(t, args.completion)
-    _emit(args, serialize.matrix_to_dict(hm))
+    _emit(args, serialize.to_dict(hm))
     return 0
 
 
 def _cmd_is_strong(args):
     t = _load_tensor(args.tensor)
     cert = associated.is_strong(t, args.tol)
-    _emit(
-        args,
-        {
-            "is_strong": cert.is_strong,
-            "min_eigenvalue": cert.min_eigenvalue,
-            "completion_used": cert.completion_used,
-            "violation_vector": None
-            if cert.violation_vector is None
-            else np.asarray(cert.violation_vector).tolist(),
-        },
-    )
+    _emit(args, serialize.to_dict(cert))
     return 0 if cert.is_strong else 1
 
 
@@ -131,41 +121,41 @@ def _cmd_decompose(args):
 def _cmd_compose(args):
     d = serialize.decomposition_from_dict(serialize.load_json(args.decomposition))
     t = vandermonde.compose(d, args.order, args.dim)
-    _emit(args, serialize.tensor_to_dict(t))
+    _emit(args, serialize.to_dict(t))
     return 0
 
 
 def _cmd_from_measure(args):
     mu = serialize.measure_from_dict(serialize.load_json(args.measure))
     t = vandermonde.from_measure(mu, args.order, args.dim)
-    _emit(args, serialize.tensor_to_dict(t))
+    _emit(args, serialize.to_dict(t))
     return 0
 
 
 def _cmd_hadamard(args):
     t = hadamard(_load_tensor(args.tensor_a), _load_tensor(args.tensor_b))
-    _emit(args, serialize.tensor_to_dict(t))
+    _emit(args, serialize.to_dict(t))
     return 0
 
 
 def _cmd_zeig(args):
     t = _load_tensor(args.tensor)
     pair = spectra.zeig_extreme(t, args.mode, restarts=args.restarts, iters=args.iters, seed=args.seed)
-    _emit(args, serialize.eigenpair_to_dict(pair))
+    _emit(args, serialize.to_dict(pair))
     return 0
 
 
 def _cmd_heig2(args):
     t = _load_tensor(args.tensor)
     pairs = spectra.heig_dim2(t)
-    _emit(args, {"pairs": [serialize.eigenpair_to_dict(p) for p in pairs]})
+    _emit(args, {"pairs": [serialize.to_dict(p) for p in pairs]})
     return 0
 
 
 def _cmd_bounds(args):
     t = _load_tensor(args.tensor)
     zb = spectra.bounds_prop6(t) if args.source == "prop6" else spectra.bounds_prop7(t)
-    _emit(args, {"upper_for_min": zb.upper_for_min, "lower_for_max": zb.lower_for_max, "source": zb.source})
+    _emit(args, serialize.to_dict(zb))
     return 0
 
 

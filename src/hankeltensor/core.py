@@ -23,6 +23,13 @@ def _as_finite_vector(x, name):
     return arr
 
 
+def _frozen_vector(x, name):
+    """Validated, read-only copy of ``x`` for an immutable array field."""
+    arr = _as_finite_vector(x, name).copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class HankelTensor:
     """Symmetric Hankel tensor held by its generating vector.
@@ -37,15 +44,13 @@ class HankelTensor:
     def __post_init__(self):
         if self.order < 2 or self.dim < 2:
             raise ValueError("order and dim must both be at least 2")
-        gen = _as_finite_vector(self.gen, "gen")
+        gen = _frozen_vector(self.gen, "gen")
         expect = (self.dim - 1) * self.order + 1
         if gen.shape[0] != expect:
             raise ValueError(
                 f"generating vector has length {gen.shape[0]}, "
                 f"expected (dim-1)*order+1 = {expect}"
             )
-        gen = gen.copy()
-        gen.flags.writeable = False
         object.__setattr__(self, "gen", gen)
 
 

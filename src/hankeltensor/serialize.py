@@ -2,11 +2,14 @@
 
 Readers validate field presence and type and raise ValueError naming the
 offending field; writers emit plain dicts whose numbers round-trip (Python's
-float repr).
+float repr).  Every result type is written by :func:`to_dict`, one key per
+dataclass field; only the plane, decomposition and copositivity report keep
+shapes of their own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -37,8 +40,13 @@ def _number_list(doc, name, where):
     return np.array(out)
 
 
-def tensor_to_dict(a):
-    return {"order": a.order, "dim": a.dim, "gen": np.asarray(a.gen).tolist()}
+def _plain(val):
+    return val.tolist() if isinstance(val, np.ndarray) else val
+
+
+def to_dict(obj):
+    """Any package dataclass: one key per field, in field order; arrays become lists."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def tensor_from_dict(doc):
@@ -46,14 +54,6 @@ def tensor_from_dict(doc):
     dim = _require(doc, "dim", int, "tensor")
     gen = _number_list(doc, "gen", "tensor")
     return HankelTensor(order, dim, gen)
-
-
-def matrix_to_dict(hm):
-    return {
-        "size": hm.size,
-        "w": np.asarray(hm.w).tolist(),
-        "completion": hm.completion,
-    }
 
 
 def matrix_from_dict(doc):
@@ -94,33 +94,15 @@ def decomposition_from_dict(doc):
     return VandermondeDecomposition(np.array(nodes), np.array(coeffs))
 
 
-def measure_to_dict(mu):
-    return {"nodes": np.asarray(mu.nodes).tolist(), "weights": np.asarray(mu.weights).tolist()}
-
-
 def measure_from_dict(doc):
     nodes = _number_list(doc, "nodes", "measure")
     weights = _number_list(doc, "weights", "measure")
     return DiscreteMeasure(nodes, weights)
 
 
-def eigenpair_to_dict(pair):
-    return {
-        "kind": pair.kind,
-        "value": pair.value,
-        "vector": np.asarray(pair.vector).tolist(),
-        "converged": pair.converged,
-        "residual": pair.residual,
-    }
-
-
 def report_to_dict(report):
-    return {
-        "copositive": report.is_copositive,
-        "witness_t": report.witness_t,
-        "min_phi": report.min_phi,
-        "critical_points": [float(t) for t in report.critical_points],
-    }
+    """:func:`to_dict` with ``is_copositive`` written as ``"copositive"``."""
+    return {("copositive" if k == "is_copositive" else k): v for k, v in to_dict(report).items()}
 
 
 def load_json(path):

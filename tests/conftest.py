@@ -6,9 +6,29 @@ import numpy as np
 import pytest
 
 from hankeltensor import DiscreteMeasure, VandermondeDecomposition, make_hankel
-from hankeltensor.core import _as_finite_vector
+from hankeltensor.core import _as_finite_vector, _frozen_vector
 
 _DENSE_CAP = 10**7
+
+
+def psd_check(m, tol=1e-10):
+    """Decide positive semidefiniteness of a symmetric matrix.
+
+    Returns ``(is_psd, min_eigenvalue, witness)`` where the witness is a unit
+    eigenvector for the most negative eigenvalue (None when PSD).  The
+    threshold is relative: ``min_eig >= -tol * max(1, max |entry|)``.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("m must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("m must contain only finite values")
+    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+    min_eig = float(vals[0])
+    if min_eig >= -tol * scale:
+        return True, min_eig, None
+    return False, min_eig, vecs[:, 0]
 
 
 def random_hankel(rng, order, dim, scale=1.0):
@@ -45,11 +65,9 @@ class DenseSymmetricTensor:
         size = self.dim**self.order
         if size > _DENSE_CAP:
             raise ValueError(f"dense size {size} exceeds the cap {_DENSE_CAP}")
-        entries = _as_finite_vector(self.entries, "entries")
+        entries = _frozen_vector(self.entries, "entries")
         if entries.shape[0] != size:
             raise ValueError(f"entries has length {entries.shape[0]}, expected {size}")
-        entries = entries.copy()
-        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
 

@@ -15,9 +15,8 @@ from hankeltensor import (
     from_measure,
     is_strong,
     make_hankel,
-    psd_check,
 )
-from conftest import distinct_nodes, random_hankel, random_measure
+from conftest import distinct_nodes, psd_check, random_hankel, random_measure
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 # every (order, dim) with (dim - 1) * order odd and at most 30

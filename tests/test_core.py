@@ -6,6 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hankeltensor import (
+    DiscreteMeasure,
+    HankelMatrix,
+    HankelTensor,
+    PlaneTensor,
+    VandermondeDecomposition,
     entry,
     eval_form,
     eval_gradient_form,
@@ -49,6 +54,27 @@ def test_gen_is_read_only():
     a = make_hankel(2, 2, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         a.gen[0] = 5.0
+
+
+def test_array_fields_are_frozen_copies():
+    # every array field is stored read-only, as a copy of the caller's array
+    cases = [
+        (lambda g: HankelTensor(2, 2, g), {"gen": [1.0, 2.0, 3.0]}),
+        (lambda w: HankelMatrix(2, w, None), {"w": [1.0, 2.0, 3.0]}),
+        (lambda c: PlaneTensor(2, c), {"coeffs": [1.0, -3.0, 1.0]}),
+        (VandermondeDecomposition, {"nodes": [0.5, -2.0], "coeffs": [1.0, 0.25]}),
+        (DiscreteMeasure, {"nodes": [0.5, -2.0], "weights": [0.75, 0.25]}),
+    ]
+    for make, fields in cases:
+        inputs = {name: np.array(v) for name, v in fields.items()}
+        obj = make(*inputs.values())
+        for name, arr in inputs.items():
+            stored = getattr(obj, name)
+            assert not stored.flags.writeable, (type(obj).__name__, name)
+            with pytest.raises(ValueError):
+                stored[0] = 9.0
+            arr[:] = 7.0
+            assert stored.tolist() == fields[name], (type(obj).__name__, name)
 
 
 def test_entry_examples():

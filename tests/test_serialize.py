@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,45 +9,50 @@ from hankeltensor import (
     CopositivityReport,
     DiscreteMeasure,
     EigenPair,
+    HankelMatrix,
+    HankelTensor,
     PlaneTensor,
+    StrongCertificate,
     VandermondeDecomposition,
+    ZBounds,
     assoc_matrix,
+    bounds_prop6,
+    copositive_check,
+    is_strong,
     make_hankel,
+    zeig_extreme,
 )
 from hankeltensor.serialize import (
     decomposition_from_dict,
     decomposition_to_dict,
-    eigenpair_to_dict,
     load_json,
     matrix_from_dict,
-    matrix_to_dict,
     measure_from_dict,
-    measure_to_dict,
     plane_from_dict,
     plane_to_dict,
     report_to_dict,
     tensor_from_dict,
-    tensor_to_dict,
+    to_dict,
 )
 
 
 class TestRoundTrips:
     def test_tensor(self):
         a = make_hankel(3, 2, [1.0, -0.25, 1e-17, 3.0])
-        doc = json.loads(json.dumps(tensor_to_dict(a)))
+        doc = json.loads(json.dumps(to_dict(a)))
         b = tensor_from_dict(doc)
         assert (b.order, b.dim) == (3, 2)
         assert_allclose(b.gen, a.gen, atol=0)
 
     def test_matrix_with_and_without_completion(self):
         hm = assoc_matrix(make_hankel(3, 2, [1.0, 2.0, 3.0, 4.0]), completion=0.5)
-        back = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(hm))))
+        back = matrix_from_dict(json.loads(json.dumps(to_dict(hm))))
         assert back.size == hm.size
         assert back.completion == 0.5
         assert_allclose(back.matrix(), hm.matrix(), atol=0)
 
         even = assoc_matrix(make_hankel(2, 2, [1.0, 0.0, 1.0]))
-        back = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(even))))
+        back = matrix_from_dict(json.loads(json.dumps(to_dict(even))))
         assert back.completion is None
 
     def test_plane(self):
@@ -74,21 +80,21 @@ class TestRoundTrips:
 
     def test_measure(self):
         mu = DiscreteMeasure([1.0, -1.0], [0.75, 0.25])
-        back = measure_from_dict(json.loads(json.dumps(measure_to_dict(mu))))
+        back = measure_from_dict(json.loads(json.dumps(to_dict(mu))))
         assert_allclose(back.nodes, mu.nodes, atol=0)
         assert_allclose(back.weights, mu.weights, atol=0)
 
     def test_floats_survive_exactly(self):
         gen = [0.1, 1 / 3, -1e-300, 6.02e23]
         a = make_hankel(3, 2, gen)
-        back = tensor_from_dict(json.loads(json.dumps(tensor_to_dict(a))))
+        back = tensor_from_dict(json.loads(json.dumps(to_dict(a))))
         assert back.gen.tolist() == gen
 
 
 class TestOneWayForms:
     def test_eigenpair(self):
         pair = EigenPair("Z", 0.25, np.array([0.5, -0.5]), True, 1e-12)
-        doc = eigenpair_to_dict(pair)
+        doc = to_dict(pair)
         assert doc["kind"] == "Z"
         assert doc["value"] == 0.25
         assert doc["vector"] == [0.5, -0.5]
@@ -106,6 +112,34 @@ class TestOneWayForms:
             "critical_points": [0.0, 0.5, 1.0],
         }
         json.dumps(doc)
+
+    def test_one_key_per_field(self):
+        a = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
+        results = [
+            a,
+            assoc_matrix(a),
+            assoc_matrix(make_hankel(3, 2, [1.0, 2.0, 3.0, 4.0]), completion=0.5),
+            DiscreteMeasure([1.0, -1.0], [0.75, 0.25]),
+            zeig_extreme(a, "min", restarts=2),
+            is_strong(a),
+            is_strong(make_hankel(2, 2, [1.0, 0.0, 1.0])),
+            bounds_prop6(a),
+            copositive_check(PlaneTensor(2, [1.0, -3.0, 1.0])),
+            copositive_check(PlaneTensor(2, [1.0, 0.5, 1.0])),
+        ]
+        assert {type(r) for r in results} == {
+            HankelTensor, HankelMatrix, DiscreteMeasure, EigenPair,
+            StrongCertificate, ZBounds, CopositivityReport,
+        }
+        for obj in results:
+            names = [f.name for f in dataclasses.fields(obj)]
+            if isinstance(obj, CopositivityReport):
+                doc = report_to_dict(obj)
+                names = ["copositive" if n == "is_copositive" else n for n in names]
+            else:
+                doc = to_dict(obj)
+            assert list(doc) == names, type(obj).__name__
+            assert json.loads(json.dumps(doc)) == doc
 
 
 class TestValidation:

@@ -274,6 +274,12 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds_prop7(make_hankel(3, 2, np.ones(4)))
 
+    def test_degree_cap(self, rng):
+        # at dim 2 the plane is never built, so only bounds_prop7's own check holds the cap
+        for order, dim in [(62, 2), (31, 3)]:
+            with pytest.raises(ValueError, match="plane degree 62 exceeds the capacity cap 60"):
+                bounds_prop7(random_hankel(rng, order, dim))
+
     def test_bounds_sandwich_extremes(self, rng):
         for _ in range(10):
             order = 2 * int(rng.integers(1, 3))

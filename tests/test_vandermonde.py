@@ -46,8 +46,16 @@ class TestCompose:
         assert_allclose(a.gen, [1.0, 0.0, 1.0, 0.0, 1.0], atol=0)
 
     def test_empty_is_zero_tensor(self):
-        a = compose(VandermondeDecomposition([], []), 3, 2)
-        assert_allclose(a.gen, np.zeros(4), atol=0)
+        for order, dim in [(3, 2), (2, 2), (4, 3), (5, 4)]:
+            a = compose(VandermondeDecomposition([], []), order, dim)
+            assert (a.order, a.dim) == (order, dim)
+            assert a.gen.tolist() == [0.0] * ((dim - 1) * order + 1)
+
+    def test_order_and_dim_checked(self):
+        for d in (VandermondeDecomposition([], []), VandermondeDecomposition([0.5], [2.0])):
+            for order, dim in [(1, 2), (2, 1), (0, 3), (-1, 2), (3, -2)]:
+                with pytest.raises(ValueError, match="^order and dim must both be at least 2$"):
+                    compose(d, order, dim)
 
     def test_zero_node_convention(self):
         # 0^0 counts as 1 so a zero node only feeds the leading slot
@@ -187,6 +195,14 @@ class TestHadamardVd:
             )
             assert is_positive(z)
 
+    def test_empty_factor_gives_empty_product(self):
+        empty = VandermondeDecomposition([], [])
+        full = VandermondeDecomposition([0.5, -2.0], [1.0, 0.25])
+        for x, y in [(empty, full), (full, empty), (empty, empty)]:
+            z = hadamard_vd(x, y)
+            assert len(z) == 0
+            assert z.nodes.dtype == z.coeffs.dtype == np.float64
+
     def test_cancelling_products_drop_out(self):
         x = VandermondeDecomposition([1.0, -1.0], [1.0, 1.0])
         y = VandermondeDecomposition([1.0, -1.0], [1.0, -1.0])
@@ -218,3 +234,15 @@ class TestFromMeasure:
         assert_allclose(
             from_measure(m, 3, 3).gen, compose(d, 3, 3).gen, atol=0
         )
+
+    def test_empty_measure_is_zero_tensor(self):
+        for order, dim in [(2, 3), (3, 2), (4, 4)]:
+            a = from_measure(DiscreteMeasure([], []), order, dim)
+            assert (a.order, a.dim) == (order, dim)
+            assert a.gen.tolist() == [0.0] * ((dim - 1) * order + 1)
+
+    def test_order_and_dim_checked(self):
+        for mu in (DiscreteMeasure([], []), DiscreteMeasure([0.5, -1.0], [0.25, 0.75])):
+            for order, dim in [(1, 2), (2, 1), (0, 3), (-1, 2), (3, -2), (1, 1)]:
+                with pytest.raises(ValueError, match="^order and dim must both be at least 2$"):
+                    from_measure(mu, order, dim)
