@@ -101,8 +101,7 @@ def _cmd_copositive_plane(args):
         p = serialize.plane_from_dict(serialize.load_json(args.plane))
     elif args.p is not None:
         coeffs = _floats(args.p, "--p")
-        degree = args.degree if args.degree is not None else coeffs.shape[0] - 1
-        p = associated.PlaneTensor(degree, coeffs)
+        p = associated.PlaneTensor(coeffs.shape[0] - 1, coeffs)
     else:
         raise ValueError("supply a plane JSON file or --p")
     report = plane.copositive_check(p, args.tol)
@@ -230,7 +229,6 @@ def build_parser():
     p = add("copositive-plane", _cmd_copositive_plane, "plane copositivity; exits 1 when not copositive")
     p.add_argument("plane", nargs="?", help="plane tensor JSON file")
     p.add_argument("--p", help="comma-separated coefficients p_0..p_l")
-    p.add_argument("--degree", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-10)
     opt_output(p)
 

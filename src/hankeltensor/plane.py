@@ -17,13 +17,8 @@ from .associated import PlaneTensor
 
 
 def phi_eval(p, t):
-    """Evaluate phi(t) = sum_k C(l,k) p_k t^(l-k) (1-t)^k.
-
-    Runs de Casteljau on the Bernstein coefficients b_k = p_{l-k}; the
-    endpoints come out exactly as phi(0) = p_l and phi(1) = p_0.
-    """
-    t = float(t)
-    return float(polyroots._value(np.asarray(p.coeffs, dtype=float)[::-1], 1.0 - t, t))
+    """Evaluate phi(t) = P(t, 1-t); phi(0) = p_l and phi(1) = p_0 come out exactly."""
+    return eval_plane(p, t, 1.0 - t)
 
 
 @dataclass(frozen=True)
@@ -37,28 +32,26 @@ class CopositivityReport:
 def copositive_check(p, tol=1e-10):
     """Decide copositivity of a plane tensor.
 
-    Step 1 rejects on a negative endpoint coefficient (p_0 or p_l below
-    -tol).  Step 2 locates every interior critical point of phi as a root
-    of phi', whose Bernstein coefficients are the differences of
-    b_k = p_(l-k), and compares phi there and at the endpoints against
-    -tol * max(1, max |p_k|).
+    One cutoff, cut = tol * max(1, max |p_k|), judges every examined point:
+    the plane is copositive iff phi >= -cut at each of them.  When an
+    endpoint value phi(0) = p_l or phi(1) = p_0 is below -cut, the examined
+    points are the two endpoints alone.  Otherwise they are the endpoints
+    and every interior critical point of phi, a root of phi', whose
+    Bernstein coefficients are the differences of b_k = p_(l-k).  The
+    witness is the examined point where phi is least.
     """
-    coeffs = np.asarray(p.coeffs)
-    p0 = float(coeffs[0])
-    pl = float(coeffs[-1])
-    if p0 < -tol or pl < -tol:
-        witness = 0.0 if pl < -tol else 1.0
-        return CopositivityReport(False, witness, [0.0, 1.0], min(p0, pl))
-
-    points = [0.0] + polyroots.bernstein_roots(np.diff(coeffs[::-1])) + [1.0]
-    values = [phi_eval(p, t) for t in points]
-    min_idx = int(np.argmin(values))
-    min_phi = float(values[min_idx])
-
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if min_phi < -tol * scale:
-        return CopositivityReport(False, points[min_idx], points, min_phi)
-    return CopositivityReport(True, None, points, min_phi)
+    coeffs = np.asarray(p.coeffs, dtype=float)
+    cut = tol * max(1.0, float(np.max(np.abs(coeffs))))
+    if min(coeffs[0], coeffs[-1]) < -cut:
+        ts = np.array([0.0, 1.0])
+        values = coeffs[[-1, 0]]
+    else:
+        ts = np.array([0.0] + polyroots.bernstein_roots(np.diff(coeffs[::-1])) + [1.0])
+        values = eval_plane(p, ts, 1.0 - ts)
+    i = int(np.argmin(values))
+    min_phi = float(values[i])
+    copositive = min_phi >= -cut
+    return CopositivityReport(copositive, None if copositive else float(ts[i]), ts.tolist(), min_phi)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     stationarity system.  ``mode='min'`` runs the method on -A.
     Deterministic starts are always included: the coordinate vectors, and
     the lifted plane extreme of the mode when dim is 2 or the plane degree
-    (dim-1)*order is even and within the cap.  ``restarts`` seeded random
+    (dim-1)*order is within the cap.  ``restarts`` seeded random
     starts are added.  The best stationary pair over all starts is returned,
     with non-convergence reported in-band.
     """
@@ -165,7 +165,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
 
     starts = [np.eye(a.dim)[i] for i in range(a.dim)]
     top = (a.dim - 1) * a.order
-    if a.dim == 2 or (top % 2 == 0 and top <= _PLANE_DEGREE_CAP):
+    if a.dim == 2 or top <= _PLANE_DEGREE_CAP:
         x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
         starts.append(x_max if mode == "max" else x_min)
     for _ in range(restarts):

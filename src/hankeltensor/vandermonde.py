@@ -22,11 +22,16 @@ _COEFF_DROP_REL = 1e-12
 _RESIDUAL_REL = 1e-6
 
 
+def _collides(s):
+    """Which sorted neighbours lie within 1e-12 * max(1, |u|, |w|) of each other."""
+    return np.diff(s) <= _NODE_MERGE_REL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+
+
 def _check_distinct(nodes, name):
     # A colliding pair brackets a colliding sorted neighbour pair: the one at
     # its larger-magnitude end has a gap no wider and a bound no smaller.
     s = np.sort(nodes)
-    hit = np.diff(s) <= _NODE_MERGE_REL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+    hit = _collides(s)
     if np.any(hit):
         raise ValueError(f"{name} must be pairwise distinct (collision at {s[np.argmax(hit)]!r})")
 
@@ -124,12 +129,12 @@ def decompose(a, nodes=None):
     alpha = _moment_solve(nodes, a.gen)
     residual = float(np.linalg.norm(_power_matrix(nodes, r - 1) @ alpha - a.gen))
     limit = _RESIDUAL_REL * float(np.linalg.norm(a.gen))
-    if residual > limit:
+    if not residual <= limit:
         raise NumericalError(
             f"decomposition residual {residual:.3e} exceeds {limit:.3e}; nodes too ill-conditioned",
             residual=residual,
         )
-    keep = np.abs(alpha) > _COEFF_DROP_REL * (np.max(np.abs(alpha)) if alpha.size else 0.0)
+    keep = np.abs(alpha) > _COEFF_DROP_REL * np.max(np.abs(alpha))
     return VandermondeDecomposition(nodes[keep], alpha[keep])
 
 
@@ -147,24 +152,19 @@ def is_positive(d):
 def hadamard_vd(d1, d2):
     """Decomposition of the Hadamard product: all pairwise node products.
 
-    Colliding product nodes (relative 1e-12) are merged and coefficients
-    below 1e-14 in magnitude are dropped.
+    Sorted product nodes that collide with their neighbour under the rule of
+    ``_check_distinct`` (relative 1e-12) merge into runs, each kept at its
+    smallest node with its coefficients summed left to right.  Coefficients
+    below 1e-14 in magnitude are then dropped.
     """
     prod_nodes = (np.asarray(d1.nodes)[:, None] * np.asarray(d2.nodes)[None, :]).ravel()
     prod_coeffs = (np.asarray(d1.coeffs)[:, None] * np.asarray(d2.coeffs)[None, :]).ravel()
 
     order = np.argsort(prod_nodes)
-    nodes_out = []
-    coeffs_out = []
-    for idx in order:
-        u, c = float(prod_nodes[idx]), float(prod_coeffs[idx])
-        if nodes_out and abs(u - nodes_out[-1]) <= _NODE_MERGE_REL * max(1.0, abs(u), abs(nodes_out[-1])):
-            coeffs_out[-1] += c
-        else:
-            nodes_out.append(u)
-            coeffs_out.append(c)
-    nodes_arr = np.array(nodes_out)
-    coeffs_arr = np.array(coeffs_out)
+    s = prod_nodes[order]
+    first = np.r_[True, ~_collides(s)][: s.size]
+    nodes_arr = s[first]
+    coeffs_arr = np.bincount(np.cumsum(first) - 1, weights=prod_coeffs[order])
     keep = np.abs(coeffs_arr) > _COEFF_DROP_ABS
     return VandermondeDecomposition(nodes_arr[keep], coeffs_arr[keep])
 

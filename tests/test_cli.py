@@ -91,6 +91,13 @@ class TestVerdictCommands:
         assert code == 0
         assert json.loads(out)["copositive"] is True
 
+    def test_copositive_plane_has_no_degree_option(self, capsys):
+        # the degree is always the coefficient count minus one
+        with pytest.raises(SystemExit) as exc:
+            main(["copositive-plane", "--p", "1,-3,1", "--degree", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_copositive_plane_requires_input(self, capsys):
         code, _, err = run(capsys, "copositive-plane")
         assert code == 2

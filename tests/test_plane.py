@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hankeltensor import plane, polyroots
 from hankeltensor import (
     DiscreteMeasure,
     PlaneTensor,
@@ -114,6 +115,47 @@ class TestCopositiveCheck:
             if p.coeffs[0] >= 0 and p.coeffs[-1] >= 0:
                 # full critical-point sweep ran, so min_phi is the true minimum
                 assert rep.min_phi <= grid_min + 1e-9
+
+    def test_tiny_negative_endpoint_verdict_is_scale_free(self):
+        # p_0 = -5e-11 sits within the cut at either scale
+        coeffs = np.array([-5e-11, 0.5, 1.0])
+        a = copositive_check(PlaneTensor(2, coeffs))
+        b = copositive_check(PlaneTensor(2, 1000.0 * coeffs))
+        assert a.is_copositive and b.is_copositive
+
+    def test_witness_attains_min_phi(self, rng):
+        rep = copositive_check(PlaneTensor(2, [-2.0, 0.0, -1.0]))
+        assert not rep.is_copositive
+        assert (rep.witness_t, rep.min_phi) == (1.0, -2.0)
+        for _ in range(200):
+            l = int(rng.integers(2, 13))
+            p = PlaneTensor(l, rng.uniform(-1, 1, l + 1) * 10.0 ** rng.uniform(-3, 3))
+            rep = copositive_check(p)
+            if not rep.is_copositive:
+                assert phi_eval(p, rep.witness_t) == rep.min_phi
+
+    def test_verdict_is_min_phi_against_one_cut(self, rng):
+        for _ in range(300):
+            l = int(rng.integers(2, 13))
+            coeffs = rng.uniform(-0.2, 1, l + 1) * 10.0 ** rng.uniform(-3, 3)
+            cut = 1e-10 * max(1.0, float(np.max(np.abs(coeffs))))
+            # endpoints on both sides of -cut and of -tol
+            coeffs[0] = -cut * 10.0 ** rng.uniform(-2, 1)
+            if rng.uniform() < 0.5:
+                coeffs[-1] = -cut * 10.0 ** rng.uniform(-2, 1)
+            rep = copositive_check(PlaneTensor(l, coeffs))
+            assert rep.is_copositive == (rep.min_phi >= -cut)
+
+    def test_endpoint_below_cut_skips_the_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sweep reached")
+
+        monkeypatch.setattr(plane, "eval_plane", refuse)
+        monkeypatch.setattr(polyroots, "bernstein_roots", refuse)
+        for coeffs in ([-1.0, 5.0, 5.0, 2.0], [2.0, 5.0, -1e-7], [-3e3, 1e4, 1e3]):
+            rep = copositive_check(PlaneTensor(len(coeffs) - 1, coeffs))
+            assert not rep.is_copositive
+            assert rep.critical_points == [0.0, 1.0]
 
     def test_alternating_degree_50_is_copositive(self):
         # phi = (2t - 1)^50: its monomial coefficients reach 8e22, its

@@ -150,6 +150,25 @@ class TestZeig:
                     pair = zeig_extreme(a, mode, restarts=4, iters=300)
                     assert abs(pair.value - lam) <= 1e-9 * (1.0 + abs(lam))
 
+    def test_odd_plane_degree_gets_the_plane_start(self):
+        a = make_hankel(5, 4, np.random.default_rng(118).uniform(-1, 1, 16))
+        assert zeig_extreme(a, "max", restarts=4, iters=300).value >= 8.44
+
+    @pytest.mark.parametrize("order,dim", [(3, 4), (5, 4), (3, 6), (7, 4)])
+    def test_odd_degree_extremes_reach_the_lifted_plane_extremes(self, rng, order, dim):
+        j = np.arange(dim)
+        for _ in range(5):
+            a = random_hankel(rng, order, dim)
+            ext = z_extremes(assoc_plane(a))
+            for mode, y in (("min", ext.y_min), ("max", ext.y_max)):
+                w = y[0] ** (dim - 1 - j) * y[1] ** j
+                lifted = eval_form(a, w / np.linalg.norm(w))
+                value = zeig_extreme(a, mode, restarts=4, iters=300).value
+                if mode == "max":
+                    assert value >= lifted - 1e-9 * (1.0 + abs(lifted))
+                else:
+                    assert value <= lifted + 1e-9 * (1.0 + abs(lifted))
+
     def test_plane_extremes_computed_once_per_tensor(self, monkeypatch):
         calls = []
         original = spectra.z_extremes

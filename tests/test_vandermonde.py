@@ -123,6 +123,13 @@ class TestDecompose:
             decompose(a, nodes=nodes)
 
 
+    def test_overflowing_solve_raises(self):
+        # the solve overflows, so the residual is NaN: the gate must still trip
+        a = make_hankel(30, 2, np.ones(31))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            decompose(a, nodes=np.arange(31) * 2e-12)
+
+
 class TestMomentSolve:
     def test_equals_loop_elimination(self, rng):
         for _ in range(300):
@@ -174,6 +181,17 @@ class TestHadamardVd:
         # products {1*1, 1*-1, -1*1, -1*-1} merge to nodes {1, -1}
         assert sorted(z.nodes) == [-1.0, 1.0]
         assert_allclose(sorted(z.coeffs), [2.0, 2.0], atol=0)
+
+    def test_neighbour_chain_merges_into_one_node(self):
+        # products 2, 2 + 1.6e-12 and 2 + 3.2e-12: each collides with its
+        # neighbour though the ends lie 3.2e-12 > 2e-12 apart
+        x = VandermondeDecomposition([1.0, 2.0, 4.0], [1.0, 1.0, 1.0])
+        y = VandermondeDecomposition([0.5, 1.0 + 0.8e-12, 2.0 + 3.2e-12], [1.0, 2.0, 4.0])
+        z = hadamard_vd(x, y)
+        assert len(z) == 5
+        near_two = np.abs(z.nodes - 2.0) < 1e-9
+        assert z.nodes[near_two].tolist() == [2.0]
+        assert z.coeffs[near_two].tolist() == [7.0]
 
     def test_composes_to_entrywise_product(self, rng):
         for _ in range(30):
