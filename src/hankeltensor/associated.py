@@ -154,8 +154,9 @@ class PlaneTensor:
 def assoc_plane(a):
     """Associated plane tensor: p_k = s(k, m, n) * v_k / C((n-1)m, k).
 
-    Counts and binomials are exact integers; the ratio is formed in exact
-    arithmetic before the single rounding to float.
+    Counts and binomials are exact integers.  Their ratio is rounded to float
+    once, by integer true division, and the product with v_k rounds once
+    more: p_k carries a relative error of at most eps (1 + eps/4).
     """
     top = (a.dim - 1) * a.order
     if top > _PLANE_DEGREE_CAP:

@@ -6,6 +6,14 @@ with Descartes' rule of signs on the Bernstein coefficients deciding which
 pieces can hold a root (Mourrain & Pavone, "Subdivision methods for solving
 polynomial equations", J. Symb. Comput. 44, 2009).  Nothing is converted to
 the monomial basis.
+
+A piece that holds exactly one root hands it to Illinois regula falsi.  Each
+of its steps costs O(l) float operations, not an O(l^2) de Casteljau pass:
+Horner's rule in u = t/(1-t) or u = (1-t)/t, whichever is at most 1, on the
+terms b_k C(l,k) scaled by a power of two.  That evaluation is wrong by at
+most 3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k, the same order as de
+Casteljau's bound, so the two can disagree on a sign only where the
+polynomial is at rounding level.
 """
 
 from __future__ import annotations
@@ -47,13 +55,61 @@ def _value(b, y1, y2):
     return b[0]
 
 
+@lru_cache(maxsize=64)
+def _binomials(l):
+    """C(l,k) for k = 0..l as floats (read-only)."""
+    c = np.array([float(math.comb(l, k)) for k in range(l + 1)])
+    c.flags.writeable = False
+    return c
+
+
+def _scaled_terms(b):
+    """The binary exponent e of max |b_k|, and the terms 2^-e b_k C(l,k) as floats.
+
+    The scaling by 2^-e is exact and keeps every term, and every Horner sum
+    over them, below 2^l in magnitude, so nothing overflows below degree 1024.
+    """
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    return e, (np.ldexp(b, -e) * _binomials(b.size - 1)).tolist()
+
+
+def _horner(terms, t):
+    """sum_k terms_k (1-t)^(l-k) t^k for 0 < t < 1 in O(l) float operations.
+
+    Horner's rule runs in u = t/(1-t) over the reversed terms when t <= 1/2,
+    and in u = (1-t)/t over the terms in order otherwise, so u <= 1; the sum
+    is then multiplied by (1-t)^l or t^l.  With terms_k = b_k C(l,k)
+    rounded to float, the result is the Bernstein value of b wrong by at most
+    3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k, barring underflow.
+    """
+    l = len(terms) - 1
+    acc = 0.0
+    if t <= 0.5:
+        s = 1.0 - t
+        u = t / s
+        for c in reversed(terms):
+            acc = acc * u + c
+        return acc * s**l
+    u = (1.0 - t) / t
+    for c in terms:
+        acc = acc * u + c
+    return acc * t**l
+
+
 def _falsi(b, lo, hi, flo, fhi):
     """The root of b inside (lo, hi), where its values flo and fhi differ in sign.
 
     Illinois regula falsi.  Every second step bisects instead when the two
     steps before it have not halved the bracket, so that skewed end values
-    cannot stall it.
+    cannot stall it.  Each step costs O(l): ``_horner`` on the terms
+    2^-e b_k C(l,k) of ``_scaled_terms``, with flo and fhi scaled by the same
+    2^-e, so the value at t is 2^-e b(t) within
+    3(l+1) eps 2^-e sum_k |b_k| B_k(t), B_k the Bernstein basis.  That is the
+    order of de Casteljau's error, so the two can take different signs only
+    where b is at rounding level.
     """
+    e, terms = _scaled_terms(b)
+    flo, fhi = math.ldexp(flo, -e), math.ldexp(fhi, -e)
     side = 0
     t = lo
     width = hi - lo
@@ -67,7 +123,7 @@ def _falsi(b, lo, hi, flo, fhi):
             width = hi - lo
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-        ft = float(_value(b, 1.0 - t, t))
+        ft = _horner(terms, t)
         if ft == 0.0:
             return t
         if (ft > 0.0) == (fhi > 0.0):

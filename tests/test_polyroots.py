@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hankeltensor.polyroots import _halving, bernstein_roots, form_directions
+from hankeltensor import polyroots
+from hankeltensor.polyroots import _halving, _horner, _scaled_terms, bernstein_roots, form_directions
+
+EPS = Fraction(float(np.finfo(float).eps))
 
 
 def poly_from_roots(roots):
@@ -34,6 +38,25 @@ def real_roots(c):
     return sorted(y[1] / y[0] for y in form_directions(q) if y[0] != 0.0 and y[1] != 0.0)
 
 
+def bernstein_exact(b, t):
+    """sum_k b_k B_k(t) and sum_k |b_k| B_k(t) in rational arithmetic, B_k(t) = C(l,k) (1-t)^(l-k) t^k."""
+    l = len(b) - 1
+    t = Fraction(t)
+    basis = [math.comb(l, k) * (1 - t) ** (l - k) * t**k for k in range(l + 1)]
+    b = [Fraction(float(x)) for x in b]
+    return sum(x * w for x, w in zip(b, basis)), sum(abs(x) * w for x, w in zip(b, basis))
+
+
+def bernstein_product(a, c):
+    """Exact Bernstein coefficients of the product of two polynomials given by theirs."""
+    p, q = len(a) - 1, len(c) - 1
+    out = [Fraction(0)] * (p + q + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(c):
+            out[i + j] += math.comb(p, i) * math.comb(q, j) * x * y
+    return [x / math.comb(p + q, k) for k, x in enumerate(out)]
+
+
 def casteljau(b, t):
     b = np.asarray(b, dtype=float)
     while b.size > 1:
@@ -54,12 +77,14 @@ class TestBasics:
         assert len(got) == 1
         assert got[0] == pytest.approx(0.3, abs=1e-2)
 
-    def test_scale_does_not_change_roots(self):
+    def test_scale_does_not_change_roots(self, rng):
         b = to_bernstein(poly_from_roots([0.2, 0.6]))
-        want = bernstein_roots(b)
-        assert np.allclose(want, [0.2, 0.6], atol=1e-12)
-        for s in (1e-300, 1e-6, 1e6, 1e300):
-            assert bernstein_roots(s * b) == pytest.approx(want, abs=1e-12)
+        assert np.allclose(bernstein_roots(b), [0.2, 0.6], atol=1e-12)
+        # at the degree cap of 60, b_k C(l,k) reaches 1.2e17 |b_k|
+        for b in [b] + [rng.uniform(-1, 1, 61) for _ in range(5)]:
+            want = bernstein_roots(b)
+            for s in (1e-300, 1e-6, 1e6, 1e300):
+                assert bernstein_roots(s * b) == pytest.approx(want, abs=1e-12)
 
     def test_halving_matches_de_casteljau(self, rng):
         for l in (1, 4, 17):
@@ -157,3 +182,44 @@ class TestRealRoots:
         assert len(dirs) == 4
         assert {tuple(d) for d in dirs[:2]} == {(1.0, 0.0), (0.0, 1.0)}
         assert sorted(d[1] / d[0] for d in dirs[2:]) == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+
+class TestScalarRefinement:
+    """The O(l) evaluation behind each regula falsi step, up to the degree cap of 60."""
+
+    def test_within_stated_bound_of_exact_value(self, rng):
+        # |2^e _horner(terms, t) - b(t)| <= 3(l+1) eps sum_k |b_k| B_k(t), from the docstring,
+        # for coefficients at moderate scales and near both ends of the float range
+        for scale in (1.0, 2.0**1000, 2.0**-1000):
+            for _ in range(30):
+                l = int(rng.integers(2, 61))
+                b = rng.uniform(-1, 1, l + 1) * 10.0 ** rng.uniform(-3, 3) * scale
+                e, terms = _scaled_terms(b)
+                # one t anywhere, one near each end of [0, 1] and the branch point 1/2
+                ts = [float(rng.uniform(0, 1)), float(rng.uniform(0, 1e-3)), 1.0 - float(rng.uniform(0, 1e-3)), 0.5]
+                for t in ts:
+                    exact, bound = bernstein_exact(b, t)
+                    got = Fraction(_horner(terms, t)) * Fraction(2) ** e
+                    assert abs(got - exact) <= 3 * (l + 1) * EPS * bound
+
+    def test_refinement_never_runs_de_casteljau(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("regula falsi ran a de Casteljau pass")
+
+        monkeypatch.setattr(polyroots, "_value", refuse)
+        found = 0
+        for l in range(2, 61):
+            found += len(bernstein_roots(rng.uniform(-1, 1, l + 1)))
+        assert found > 0
+
+    def test_known_simple_roots_at_degree_60(self, rng):
+        # prod (t - r) times a factor with positive Bernstein coefficients, which has
+        # no root in [0, 1]; the product is formed exactly and rounded once
+        roots = [Fraction(1, 20), Fraction(3, 16), Fraction(1, 3), Fraction(1, 2), Fraction(5, 8), Fraction(4, 5),
+                 Fraction(19, 20)]
+        for _ in range(3):
+            b = [Fraction(float(x)) for x in rng.uniform(0.5, 2.0, 61 - len(roots))]
+            for r in roots:
+                b = bernstein_product(b, [-r, 1 - r])
+            got = bernstein_roots(np.array([float(x) for x in b]))
+            assert got == pytest.approx([float(r) for r in roots], abs=1e-12)
