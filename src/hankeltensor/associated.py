@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,10 +24,12 @@ from .core import HankelTensor, _frozen_vector
 _PLANE_DEGREE_CAP = 60
 
 
+@lru_cache(maxsize=64)
 def _counts_all(order, dim):
     """Exact counts of index tuples by index sum, via integer convolution.
 
     counts[k] = number of (i_1..i_m) in [1..n]^m with sum(i_j) - m = k.
+    Memoised per shape; a tuple, so no caller can alter the cached counts.
     """
     if order < 1 or dim < 1:
         raise ValueError("order and dim must be positive")
@@ -37,7 +40,16 @@ def _counts_all(order, dim):
         for j, c in enumerate(prev):
             for d in range(dim):
                 counts[j + d] += c
-    return counts
+    return tuple(counts)
+
+
+@lru_cache(maxsize=64)
+def _plane_weights(order, dim):
+    """s(k, m, n) / C((n-1)m, k), each exact ratio rounded to float once (read-only)."""
+    top = (dim - 1) * order
+    w = np.array([c / math.comb(top, k) for k, c in enumerate(_counts_all(order, dim))])
+    w.flags.writeable = False
+    return w
 
 
 def count_s(k, order, dim):
@@ -161,11 +173,7 @@ def assoc_plane(a):
     top = (a.dim - 1) * a.order
     if top > _PLANE_DEGREE_CAP:
         raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
-    counts = _counts_all(a.order, a.dim)
-    p = np.array(
-        [(counts[k] / math.comb(top, k)) * a.gen[k] for k in range(top + 1)]
-    )
-    return PlaneTensor(top, p)
+    return PlaneTensor(top, _plane_weights(a.order, a.dim) * a.gen)
 
 
 def copositive_necessary(a):

@@ -82,7 +82,7 @@ def z_extremes(p):
     c = np.asarray(p.coeffs, dtype=float)
     j = np.arange(l + 1)
     q = j * np.r_[0.0, c[:-1]] - (l - j) * np.r_[c[1:], 0.0]
-    dirs = np.array(polyroots.form_directions(q))
+    dirs = polyroots.form_directions(q)
     ys = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     ys = np.concatenate([ys, -ys])
     vals = eval_plane(p, ys[:, 0], ys[:, 1])

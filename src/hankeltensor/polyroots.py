@@ -193,15 +193,14 @@ def bernstein_roots(b):
 
 
 def form_directions(q):
-    """Directions (y1, y2) where sum_j C(l,j) q_j y1^(l-j) y2^j can vanish.
+    """Rows (y1, y2) of a (K, 2) array where sum_j C(l,j) q_j y1^(l-j) y2^j can vanish.
 
     The charts y = (1-u, u) and y = (1-u, -u), u in [0, 1], meet every line
     through the origin; their Bernstein coefficients are q_j and (-1)^j q_j.
-    The chart corners (1, 0) and (0, 1) are always included.
+    The chart corners (1, 0) and (0, 1) come first; no line is met twice.
     """
     q = np.asarray(q, dtype=float)
-    dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    dirs = [[1.0, 0.0], [0.0, 1.0]]
     for sign in (1.0, -1.0):
-        for u in bernstein_roots(q * sign ** np.arange(q.size)):
-            dirs.append(np.array([1.0 - u, sign * u]))
-    return dirs
+        dirs += [[1.0 - u, sign * u] for u in bernstein_roots(q * sign ** np.arange(q.size))]
+    return np.array(dirs)

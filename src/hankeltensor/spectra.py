@@ -20,7 +20,6 @@ keep the earliest point.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,6 @@ from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
 _RESIDUAL_OK_REL = 1e-8
-_WITNESS_LEVEL = -1e-12
 _GRID_CHUNK = 4096
 
 
@@ -215,53 +213,38 @@ def heig_dim2(a):
     """All H-eigenpairs of a two-dimensional Hankel tensor.
 
     With F = A x^(m-1), the eigenvectors are the zero directions of the
-    binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2, found by
-    the Bernstein root engine over both charts of the projective line.
-    Candidates are normalised to unit max-norm and kept only when the eigen
-    residual is within 1e-8 * (1 + |lambda|) and within
-    1e-8 * max(|A| |x|^(m-1)), the rounding scale of the gradient (|A| has
-    generating vector |v|), so a direction where A x^(m-1) is merely small
-    is not an eigenvector.  When the form vanishes (every direction is an
-    eigenvector) the axes are reported as representatives.
+    binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2, one
+    candidate per line through the origin from the Bernstein root engine.
+    Each is divided by its signed largest coordinate, which becomes 1, and
+    lambda is F there.  F and its rounding scale max(|A| |x|^(m-1)) (|A| has
+    generating vector |v|) are evaluated at all candidates at once by de
+    Casteljau.  A candidate is kept when the eigen residual is within
+    1e-8 * min(1 + |lambda|, max(|A| |x|^(m-1))), so a direction where
+    A x^(m-1) is merely small is not an eigenvector.  When the form vanishes
+    (every direction is an eigenvector) the axes are reported as
+    representatives.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
     m = a.order
     v = np.asarray(a.gen)
-    binom = np.array([math.comb(m - 1, k) for k in range(m)], dtype=float)
+    binom = polyroots._binomials(m - 1)
     g = np.zeros(2 * m - 1)  # monomial weights of y1^(2m-2-j) y2^j
     g[:m] += binom * v[1:]
     g[m - 1 :] -= binom * v[:m]
-    weights = np.array([math.comb(2 * m - 2, j) for j in range(2 * m - 1)], dtype=float)
-    candidates = polyroots.form_directions(g / weights)
-    abs_a = HankelTensor(m, 2, np.abs(v))
+    xs = polyroots.form_directions(g / polyroots._binomials(2 * m - 2))
+    i = np.arange(xs.shape[0])
+    top = np.argmax(np.abs(xs), axis=1)
+    xs = xs / xs[i, top][:, None]
 
-    pairs = []
-    for x in candidates:
-        x = x / np.max(np.abs(x))
-        imax = int(np.argmax(np.abs(x)))
-        if x[imax] < 0:
-            x = -x
-        grad = eval_gradient_form(a, x)
-        powers = x ** (m - 1)
-        lam_comps = [grad[i] / powers[i] for i in range(2) if abs(powers[i]) > 0.5]
-        lam = float(lam_comps[0])
-        residual = float(np.max(np.abs(grad - lam * powers)))
-        grad_scale = float(np.max(eval_gradient_form(abs_a, np.abs(x))))
-        if residual <= 1e-8 * min(1.0 + abs(lam), grad_scale):
-            pairs.append(EigenPair("H", lam, x, True, residual))
-
-    pairs.sort(key=lambda p: (-p.value, tuple(p.vector)))
-    deduped = []
-    for p in pairs:
-        dup = any(
-            abs(p.value - q.value) <= 1e-9 * (1.0 + abs(q.value))
-            and min(np.max(np.abs(p.vector - q.vector)), np.max(np.abs(p.vector + q.vector))) <= 1e-9
-            for q in deduped
-        )
-        if not dup:
-            deduped.append(p)
-    return deduped
+    rows = np.stack([v[:-1], v[1:]], axis=1)[:, :, None]
+    grad = polyroots._value(rows, xs[:, 0], xs[:, 1])
+    scale = np.max(polyroots._value(np.abs(rows), np.abs(xs[:, 0]), np.abs(xs[:, 1])), axis=0)
+    lam = grad[top, i]
+    residual = np.max(np.abs(grad - lam * xs.T ** (m - 1)), axis=0)
+    keep = residual <= 1e-8 * np.minimum(1.0 + np.abs(lam), scale)
+    pairs = [EigenPair("H", float(lam[j]), xs[j], True, float(residual[j])) for j in np.flatnonzero(keep)]
+    return sorted(pairs, key=lambda p: (-p.value, tuple(p.vector)))
 
 
 def bounds_prop6(a):
@@ -341,13 +324,14 @@ def _simplex_chunks(dim, steps):
 
 
 def copositive_falsify(a, depth=1):
-    """Search the simplex for a point with A x^m < -1e-12.
+    """Search the simplex for a point with A x^m < -1e-12 * max(1, max |v|).
 
     Scans the barycentric grid of step 1/(64*depth) in row chunks, in the
     order of ``itertools.combinations`` of its cut positions, and keeps the
     first grid minimum.  The worst point is then polished with 20
     projected-gradient steps.  Returns the witness vector or None; absence
-    of a witness is not a copositivity certificate.
+    of a witness is not a copositivity certificate.  The cutoff grows with
+    max |v|, as the rounding error of the form does.
     """
     try:
         depth = operator.index(depth)
@@ -378,6 +362,6 @@ def copositive_falsify(a, depth=1):
             eta *= 0.5
         if not improved:
             break
-    if fx < _WITNESS_LEVEL:
+    if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))):
         return x
     return None

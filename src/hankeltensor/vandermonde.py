@@ -17,7 +17,6 @@ from .core import HankelTensor, _as_finite_vector, _frozen_vector
 from .errors import NumericalError
 
 _NODE_MERGE_REL = 1e-12
-_COEFF_DROP_ABS = 1e-14
 _COEFF_DROP_REL = 1e-12
 _RESIDUAL_REL = 1e-6
 
@@ -155,7 +154,7 @@ def hadamard_vd(d1, d2):
     Sorted product nodes that collide with their neighbour under the rule of
     ``_check_distinct`` (relative 1e-12) merge into runs, each kept at its
     smallest node with its coefficients summed left to right.  Coefficients
-    below 1e-14 in magnitude are then dropped.
+    below 1e-12 of the largest are then dropped, as in ``decompose``.
     """
     prod_nodes = (np.asarray(d1.nodes)[:, None] * np.asarray(d2.nodes)[None, :]).ravel()
     prod_coeffs = (np.asarray(d1.coeffs)[:, None] * np.asarray(d2.coeffs)[None, :]).ravel()
@@ -165,7 +164,7 @@ def hadamard_vd(d1, d2):
     first = np.r_[True, ~_collides(s)][: s.size]
     nodes_arr = s[first]
     coeffs_arr = np.bincount(np.cumsum(first) - 1, weights=prod_coeffs[order])
-    keep = np.abs(coeffs_arr) > _COEFF_DROP_ABS
+    keep = np.abs(coeffs_arr) > _COEFF_DROP_REL * np.max(np.abs(coeffs_arr), initial=0.0)
     return VandermondeDecomposition(nodes_arr[keep], coeffs_arr[keep])
 
 

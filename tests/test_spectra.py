@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hankeltensor import (
     zeig_extreme,
 )
 from hankeltensor import spectra
+from hankeltensor.polyroots import form_directions
 from conftest import random_hankel, random_measure, random_positive_decomposition
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
@@ -51,6 +53,43 @@ def loop_scan(a, depth=1):
     return best_x
 
 
+def loop_heig_dim2(a):
+    # one candidate at a time, with eval_gradient_form on A and on |A|, lambda
+    # at the first coordinate with |x_i|^(m-1) > 0.5, and a pairwise dedup
+    m = a.order
+    v = np.asarray(a.gen)
+    binom = np.array([math.comb(m - 1, k) for k in range(m)], dtype=float)
+    g = np.zeros(2 * m - 1)
+    g[:m] += binom * v[1:]
+    g[m - 1 :] -= binom * v[:m]
+    weights = np.array([math.comb(2 * m - 2, j) for j in range(2 * m - 1)], dtype=float)
+    abs_a = make_hankel(m, 2, np.abs(v))
+    pairs = []
+    for x in form_directions(g / weights):
+        x = x / np.max(np.abs(x))
+        imax = int(np.argmax(np.abs(x)))
+        if x[imax] < 0:
+            x = -x
+        grad = eval_gradient_form(a, x)
+        powers = x ** (m - 1)
+        lam = float([grad[i] / powers[i] for i in range(2) if abs(powers[i]) > 0.5][0])
+        residual = float(np.max(np.abs(grad - lam * powers)))
+        grad_scale = float(np.max(eval_gradient_form(abs_a, np.abs(x))))
+        if residual <= 1e-8 * min(1.0 + abs(lam), grad_scale):
+            pairs.append(EigenPair("H", lam, x, True, residual))
+    pairs.sort(key=lambda p: (-p.value, tuple(p.vector)))
+    deduped = []
+    for p in pairs:
+        dup = any(
+            abs(p.value - q.value) <= 1e-9 * (1.0 + abs(q.value))
+            and min(np.max(np.abs(p.vector - q.vector)), np.max(np.abs(p.vector + q.vector))) <= 1e-9
+            for q in deduped
+        )
+        if not dup:
+            deduped.append(p)
+    return deduped
+
+
 def polish(a, x):
     # the 20 projected-gradient steps that follow the scan
     fx = eval_form(a, x)
@@ -68,7 +107,7 @@ def polish(a, x):
             eta *= 0.5
         if not improved:
             break
-    return x if fx < -1e-12 else None
+    return x if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))) else None
 
 
 def zmin(a, **kw):
@@ -264,6 +303,36 @@ class TestHeigDim2:
         with pytest.raises(ValueError):
             heig_dim2(make_hankel(2, 3, np.ones(5)))
 
+    def test_batched_pass_matches_the_loop(self, rng):
+        # same candidates and scaling: equal pairs and vectors bit for bit;
+        # lambda is read by another evaluation order, so only to 1e-12
+        for m in range(2, 11):
+            for kind in ("random", "moment", "integer"):
+                for _ in range(12):
+                    if kind == "random":
+                        a = random_hankel(rng, m, 2)
+                    elif kind == "moment":
+                        a = from_measure(random_measure(rng, max_nodes=4), m, 2)
+                    else:
+                        a = make_hankel(m, 2, rng.integers(-3, 4, m + 1).astype(float))
+                    got = {p.vector.tobytes(): p.value for p in heig_dim2(a)}
+                    want = {p.vector.tobytes(): p.value for p in loop_heig_dim2(a)}
+                    assert got.keys() == want.keys()
+                    for key, lam in want.items():
+                        assert abs(got[key] - lam) <= 1e-12 * (1.0 + abs(lam))
+
+    def test_no_per_candidate_gradient_calls(self, rng, monkeypatch):
+        cases = [random_hankel(rng, m, 2) for m in (2, 5, 9)]
+        cases.append(from_measure(DiscreteMeasure([-0.3, 0.6], [0.5, 0.25]), 6, 2))
+        want = [[p.vector.tobytes() for p in loop_heig_dim2(a)] for a in cases]
+
+        def refuse(*args):
+            raise AssertionError("eval_gradient_form called")
+
+        monkeypatch.setattr(spectra, "eval_gradient_form", refuse)
+        for a, vectors in zip(cases, want):
+            assert sorted(p.vector.tobytes() for p in heig_dim2(a)) == sorted(vectors)
+
 
 class TestBounds:
     def test_diagonal_bounds_examples(self):
@@ -362,6 +431,13 @@ class TestCopositiveFalsify:
 
     def test_positive_definite_none(self):
         assert copositive_falsify(COUNTEREXAMPLE) is None
+
+    def test_cutoff_scales_with_the_generating_vector(self):
+        # 1e6 (x1 - 2 x2)^4 is copositive, yet rounding alone takes its
+        # polished minimum to about -7.9e-11, below an absolute -1e-12
+        assert copositive_falsify(make_hankel(4, 2, 1e6 * (-2.0) ** np.arange(5))) is None
+        w = copositive_falsify(make_hankel(4, 2, 1e6 * CROSS_NEG.gen))
+        assert_allclose(w, [0.5, 0.5], atol=1e-4)
 
     def test_vertex_witness(self):
         w = copositive_falsify(make_hankel(2, 2, [-1.0, 0.0, 0.0]))

@@ -221,6 +221,15 @@ class TestHadamardVd:
             assert len(z) == 0
             assert z.nodes.dtype == z.coeffs.dtype == np.float64
 
+    def test_small_coefficients_are_kept(self):
+        # every product coefficient is of order 1e-16: the drop rule is
+        # relative to the largest, not an absolute level
+        d = VandermondeDecomposition([0.5, -0.3], [1e-8, 2e-8])
+        z = hadamard_vd(d, d)
+        assert len(z) == 3
+        a = compose(d, 3, 2)
+        assert_allclose(compose(z, 3, 2).gen, hadamard(a, a).gen, rtol=1e-12, atol=0)
+
     def test_cancelling_products_drop_out(self):
         x = VandermondeDecomposition([1.0, -1.0], [1.0, 1.0])
         y = VandermondeDecomposition([1.0, -1.0], [1.0, -1.0])
