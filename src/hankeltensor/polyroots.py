@@ -197,7 +197,8 @@ def form_directions(q):
 
     The charts y = (1-u, u) and y = (1-u, -u), u in [0, 1], meet every line
     through the origin; their Bernstein coefficients are q_j and (-1)^j q_j.
-    The chart corners (1, 0) and (0, 1) come first; no line is met twice.
+    The chart corners (1, 0) and (0, 1) come first.  No line is met twice,
+    but a chart root can lie within rounding of a corner.
     """
     q = np.asarray(q, dtype=float)
     dirs = [[1.0, 0.0], [0.0, 1.0]]

@@ -213,16 +213,18 @@ def heig_dim2(a):
     """All H-eigenpairs of a two-dimensional Hankel tensor.
 
     With F = A x^(m-1), the eigenvectors are the zero directions of the
-    binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2, one
-    candidate per line through the origin from the Bernstein root engine.
-    Each is divided by its signed largest coordinate, which becomes 1, and
-    lambda is F there.  F and its rounding scale max(|A| |x|^(m-1)) (|A| has
-    generating vector |v|) are evaluated at all candidates at once by de
-    Casteljau.  A candidate is kept when the eigen residual is within
+    binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2: the axes
+    and the chart roots of the Bernstein root engine.  Each candidate is
+    divided by its signed largest coordinate, which becomes 1, and lambda
+    is F there; F and its rounding scale max(|A| |x|^(m-1)) (|A| has
+    generating vector |v|) are evaluated at all candidates at once.  A
+    candidate is kept when the eigen residual is within
     1e-8 * min(1 + |lambda|, max(|A| |x|^(m-1))), so a direction where
-    A x^(m-1) is merely small is not an eigenvector.  When the form vanishes
-    (every direction is an eigenvector) the axes are reported as
-    representatives.
+    A x^(m-1) is merely small is not an eigenvector.  A chart root within
+    1e-9 of a kept axis, lambda within 1e-9 * (1 + |lambda|), is the same
+    eigenpair (v_1 or v_(m-1) tiny puts it there); of each such group only
+    the member of smallest residual is reported.  When the form vanishes
+    (every direction is an eigenvector) the axes are the representatives.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
@@ -243,6 +245,12 @@ def heig_dim2(a):
     lam = grad[top, i]
     residual = np.max(np.abs(grad - lam * xs.T ** (m - 1)), axis=0)
     keep = residual <= 1e-8 * np.minimum(1.0 + np.abs(lam), scale)
+    near = np.max(np.abs(xs[2:, None] - xs[:2]), axis=2) <= 1e-9
+    near &= np.abs(lam[2:, None] - lam[:2]) <= 1e-9 * (1.0 + np.abs(lam[:2]))
+    near &= keep[2:, None] & keep[:2]
+    for j in np.flatnonzero(np.any(near, axis=0)):
+        group = np.r_[j, 2 + np.flatnonzero(near[:, j])]
+        keep[group] = group == group[np.argmin(residual[group])]
     pairs = [EigenPair("H", float(lam[j]), xs[j], True, float(residual[j])) for j in np.flatnonzero(keep)]
     return sorted(pairs, key=lambda p: (-p.value, tuple(p.vector)))
 

@@ -321,6 +321,37 @@ class TestHeigDim2:
                     for key, lam in want.items():
                         assert abs(got[key] - lam) <= 1e-12 * (1.0 + abs(lam))
 
+    def test_root_next_to_an_axis_is_reported_once(self):
+        # chart roots sit 1e-12 from (1, 0) and (0, 1), and both axes pass
+        # the residual gate too; each eigenpair comes back once, by the
+        # chart root, whose residual is the smaller
+        pairs = heig_dim2(make_hankel(2, 2, [1.0, 1e-12, 2.0]))
+        w = np.linalg.eigvalsh(np.array([[1.0, 1e-12], [1e-12, 2.0]]))
+        assert len(pairs) == 2
+        assert_allclose(sorted(p.value for p in pairs), w, rtol=1e-15)
+        assert all(p.vector[0] != 0.0 and p.vector[1] != 0.0 for p in pairs)
+        assert all(p.residual < 1e-15 for p in pairs)  # 1e-12 at the axes
+
+    @pytest.mark.parametrize("order", [3, 4, 6, 9, 10])
+    def test_near_axis_pairs_match_the_loop(self, rng, order):
+        # v_1 and v_(m-1) at 1e-12 of the rest put a chart root next to each
+        # axis; the loop's dedup and the grouping by axis give the same pairs,
+        # and next to an axis the grouping reports the smaller residual
+        for _ in range(8):
+            v = rng.uniform(-1.0, 1.0, order + 1)
+            v[1], v[order - 1] = rng.choice([-1e-12, 1e-12], 2)
+            a = make_hankel(order, 2, v)
+            got, want = heig_dim2(a), loop_heig_dim2(a)
+            assert len(got) == len(want)
+            for q in want:
+                p = min(got, key=lambda p: np.max(np.abs(p.vector - q.vector)))
+                assert np.max(np.abs(p.vector - q.vector)) <= 1e-9
+                assert abs(p.value - q.value) <= 1e-9 * (1.0 + abs(q.value))
+            for p in got:
+                k = int(np.argmin(np.abs(p.vector)))
+                if abs(p.vector[k]) <= 1e-9:  # at most the residual of the axis
+                    assert p.residual <= abs(eval_gradient_form(a, np.eye(2)[1 - k])[k])
+
     def test_no_per_candidate_gradient_calls(self, rng, monkeypatch):
         cases = [random_hankel(rng, m, 2) for m in (2, 5, 9)]
         cases.append(from_measure(DiscreteMeasure([-0.3, 0.6], [0.5, 0.25]), 6, 2))
