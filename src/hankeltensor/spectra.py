@@ -14,12 +14,14 @@ directions of a single binary form.
 Copositivity falsification evaluates the form on the simplex grid in row
 chunks, through one batched kernel per chunk, in the order of
 ``itertools.combinations``; the first grid minimum wins, so ties on the grid
-keep the earliest point.
+keep the earliest point.  A grid of up to 4 MB is built once per
+(dim, steps) and kept; a larger one is streamed chunk by chunk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +36,14 @@ from .plane import z_extremes
 _LAMBDA_STALL_REL = 1e-12
 _RESIDUAL_OK_REL = 1e-8
 _GRID_CHUNK = 4096
+_GRID_CACHE_BYTES = 4 << 20
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,8 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
+    restarts = _integer("restarts", restarts)
+    iters = _integer("iters", iters)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if iters < 1:
@@ -331,25 +343,38 @@ def _simplex_chunks(dim, steps):
         yield parts / steps
 
 
+@lru_cache(maxsize=4)
+def _simplex_grid(dim, steps):
+    """The chunks of ``_simplex_chunks(dim, steps)``, built once and read-only."""
+    chunks = tuple(_simplex_chunks(dim, steps))
+    for xs in chunks:
+        xs.flags.writeable = False
+    return chunks
+
+
 def copositive_falsify(a, depth=1):
     """Search the simplex for a point with A x^m < -1e-12 * max(1, max |v|).
 
     Scans the barycentric grid of step 1/(64*depth) in row chunks, in the
     order of ``itertools.combinations`` of its cut positions, and keeps the
-    first grid minimum.  The worst point is then polished with 20
-    projected-gradient steps.  Returns the witness vector or None; absence
-    of a witness is not a copositivity certificate.  The cutoff grows with
-    max |v|, as the rounding error of the form does.
+    first grid minimum.  A grid of at most 4 MB is built once per
+    (dim, steps) and reused by later calls; a larger one (dim 5, or dim 4
+    at depth 2 and up) is streamed and never held whole.  The worst point
+    is then polished with 20 projected-gradient steps.  Returns the witness
+    vector or None; absence of a witness is not a copositivity certificate.
+    The cutoff grows with max |v|, as the rounding error of the form does.
     """
-    try:
-        depth = operator.index(depth)
-    except TypeError:
-        raise TypeError(f"depth must be an integer, not {type(depth).__name__}") from None
+    depth = _integer("depth", depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     steps = 64 * depth
+    rows = math.comb(steps + a.dim - 1, a.dim - 1)
+    if rows * a.dim * 8 <= _GRID_CACHE_BYTES:
+        grid = _simplex_grid(a.dim, steps)
+    else:
+        grid = _simplex_chunks(a.dim, steps)
     best_x, best_f = None, np.inf
-    for xs in _simplex_chunks(a.dim, steps):
+    for xs in grid:
         fs = _forms(a, xs)
         i = int(np.argmin(fs))
         if fs[i] < best_f:

@@ -240,6 +240,16 @@ class TestZeig:
         with pytest.raises(ValueError):
             zeig_extreme(a, "max", iters=0)
 
+    @pytest.mark.parametrize("name", ["restarts", "iters"])
+    def test_integer_arguments(self, name):
+        a = make_hankel(3, 3, np.linspace(-1, 1, 7))
+        with pytest.raises(TypeError, match=f"{name} must be an integer, not float"):
+            zeig_extreme(a, "max", **{name: 2.5})
+        got = zeig_extreme(a, "max", **{name: np.int64(3)})
+        want = zeig_extreme(a, "max", **{name: 3})
+        assert got.value == want.value
+        assert got.vector.tobytes() == want.vector.tobytes()
+
 
 class TestHeigDim2:
     def test_cubic_all_ones(self):
@@ -496,6 +506,36 @@ class TestCopositiveFalsify:
             copositive_falsify(CROSS_NEG, depth=2.0)
         w = copositive_falsify(CROSS_NEG, depth=np.int64(2))
         assert w.tobytes() == copositive_falsify(CROSS_NEG, depth=2).tobytes()
+
+    def test_grid_built_once_per_shape(self, rng, monkeypatch):
+        calls = []
+        chunks = spectra._simplex_chunks
+
+        def counting(dim, steps):
+            calls.append((dim, steps))
+            return chunks(dim, steps)
+
+        spectra._simplex_grid.cache_clear()
+        monkeypatch.setattr(spectra, "_simplex_chunks", counting)
+        copositive_falsify(random_hankel(rng, 3, 4))
+        copositive_falsify(random_hankel(rng, 4, 4))
+        assert calls == [(4, 64)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_cached_grid_is_read_only_and_equals_the_point_generator(self, dim):
+        chunks = spectra._simplex_grid(dim, 64)
+        assert not any(xs.flags.writeable for xs in chunks)
+        with pytest.raises(ValueError):
+            chunks[0][0, 0] = 1.0
+        want = np.array(list(loop_simplex_grid(dim, 64)))
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+    def test_grid_above_the_cap_is_streamed(self, rng):
+        # the dim-5 grid at depth 1 has 766,480 rows, 30 MB
+        assert math.comb(68, 4) * 5 * 8 > spectra._GRID_CACHE_BYTES
+        before = spectra._simplex_grid.cache_info()
+        copositive_falsify(random_hankel(rng, 2, 5))
+        assert spectra._simplex_grid.cache_info() == before
 
     @pytest.mark.parametrize(
         "dim, steps",
