@@ -1,6 +1,7 @@
 """Deciding copositivity of plane tensors exactly, in two steps.
 
-A plane (binary) tensor P of degree l is copositive iff the segment
+A plane (binary) tensor P of degree l, built as the two-dimensional Hankel
+tensor make_hankel(l, 2, [p_0, ..., p_l]), is copositive iff the segment
 function phi(t) = P(t, 1-t) stays nonnegative on [0, 1].  The decision
 procedure checks the endpoint coefficients first, then isolates every
 interior critical point of phi by Bernstein subdivision (phi is already in
@@ -11,7 +12,6 @@ examined points.
 import numpy as np
 
 from hankeltensor import (
-    PlaneTensor,
     copositive_check,
     copositive_falsify,
     eval_form,
@@ -19,26 +19,26 @@ from hankeltensor import (
     phi_eval,
 )
 
-p = PlaneTensor(2, np.array([1.0, -3.0, 1.0]))
-print("degree-2 plane tensor with coefficients", p.coeffs.tolist())
+p = make_hankel(2, 2, np.array([1.0, -3.0, 1.0]))
+print("degree-2 plane tensor with coefficients", p.gen.tolist())
 rep = copositive_check(p)
 print("copositive:", rep.is_copositive)
 print(f"witness t = {rep.witness_t}, phi there = {rep.min_phi}")
 print("examined points:", [round(t, 6) for t in rep.critical_points])
 print("check: phi(0.5) =", phi_eval(p, 0.5))
 
-q = PlaneTensor(2, np.array([1.0, -0.5, 1.0]))
+q = make_hankel(2, 2, np.array([1.0, -0.5, 1.0]))
 rep = copositive_check(q)
-print("\ncoefficients", q.coeffs.tolist(), "-> copositive:", rep.is_copositive)
+print("\ncoefficients", q.gen.tolist(), "-> copositive:", rep.is_copositive)
 print(f"interior minimum {rep.min_phi:.4f}; phi > 0 on the whole segment")
 
-neg_end = PlaneTensor(3, np.array([-1.0, 5.0, 5.0, 2.0]))
+neg_end = make_hankel(3, 2, np.array([-1.0, 5.0, 5.0, 2.0]))
 rep = copositive_check(neg_end)
 print("\nnegative leading coefficient fails at an endpoint:")
 print(f"  copositive: {rep.is_copositive}, witness t = {rep.witness_t}")
 
 # phi of [1, -1, 1] is (t - (1-t))^2: copositive with a boundary zero
-boundary = PlaneTensor(2, np.array([1.0, -1.0, 1.0]))
+boundary = make_hankel(2, 2, np.array([1.0, -1.0, 1.0]))
 rep = copositive_check(boundary)
 print("\nperfect square (x - y)^2 touches zero yet passes:")
 print(f"  copositive: {rep.is_copositive}, min phi = {rep.min_phi:.2e}")

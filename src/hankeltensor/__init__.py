@@ -8,7 +8,6 @@ with certified bounds.
 
 from .associated import (
     HankelMatrix,
-    PlaneTensor,
     StrongCertificate,
     assoc_matrix,
     assoc_plane,
@@ -63,7 +62,6 @@ __all__ = [
     "eval_gradient_form",
     "hadamard",
     "HankelMatrix",
-    "PlaneTensor",
     "StrongCertificate",
     "count_s",
     "assoc_matrix",

@@ -2,12 +2,13 @@
 
 Two companions drive most structural results: the associated Hankel *matrix*
 (whose positive semidefiniteness defines strong Hankel tensors) and the
-associated *plane tensor*, a binary form of degree ``(n-1)*m`` carrying the
-entry-count weights ``s(k, m, n)``.  When ``(n-1)*m`` is odd the matrix has
-one free corner entry, and the tensor is strong iff some completion makes it
-PSD, which holds iff the minimal completion c* = b^T P^+ b does.  Strength is
-one eigenvalue test at every degree: the (minimally completed) matrix's
-smallest eigenvalue must be at least ``-tol * max(1, max |v|)``.
+associated *plane tensor*, a two-dimensional (hence Hankel) tensor of order
+``(n-1)*m`` carrying the entry-count weights ``s(k, m, n)``.  When
+``(n-1)*m`` is odd the matrix has one free corner entry, and the tensor is
+strong iff some completion makes it PSD, which holds iff the minimal
+completion c* = b^T P^+ b does.  Strength is one eigenvalue test at every
+degree: the (minimally completed) matrix's smallest eigenvalue must be at
+least ``-tol * max(1, max |v|)``.
 """
 
 from __future__ import annotations
@@ -144,28 +145,12 @@ def is_strong(a, tol=1e-10):
     return StrongCertificate(ok, min_eig, completion, None if ok else vecs[:, 0])
 
 
-@dataclass(frozen=True)
-class PlaneTensor:
-    """Binary form of degree ``l`` given by coefficients p_0..p_l.
-
-    The form evaluates as sum_k C(l,k) p_k y1^(l-k) y2^k.
-    """
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("degree must be at least 2")
-        coeffs = _frozen_vector(self.coeffs, "coeffs")
-        if coeffs.shape[0] != self.degree + 1:
-            raise ValueError(f"coeffs has length {coeffs.shape[0]}, expected degree+1 = {self.degree + 1}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
 def assoc_plane(a):
     """Associated plane tensor: p_k = s(k, m, n) * v_k / C((n-1)m, k).
 
+    The plane is the :class:`HankelTensor` of order l = (n-1)m, dim 2 and
+    generating vector p_0..p_l, so every tensor routine applies to it; its
+    form is sum_k C(l,k) p_k y1^(l-k) y2^k.
     Counts and binomials are exact integers.  Their ratio is rounded to float
     once, by integer true division, and the product with v_k rounds once
     more: p_k carries a relative error of at most eps (1 + eps/4).
@@ -173,7 +158,7 @@ def assoc_plane(a):
     top = (a.dim - 1) * a.order
     if top > _PLANE_DEGREE_CAP:
         raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
-    return PlaneTensor(top, _plane_weights(a.order, a.dim) * a.gen)
+    return HankelTensor(top, 2, _plane_weights(a.order, a.dim) * a.gen)
 
 
 def copositive_necessary(a):

@@ -101,7 +101,7 @@ def _cmd_copositive_plane(args):
         p = serialize.plane_from_dict(serialize.load_json(args.plane))
     elif args.p is not None:
         coeffs = _floats(args.p, "--p")
-        p = associated.PlaneTensor(coeffs.shape[0] - 1, coeffs)
+        p = make_hankel(coeffs.shape[0] - 1, 2, coeffs)
     else:
         raise ValueError("supply a plane JSON file or --p")
     report = plane.copositive_check(p, args.tol)
@@ -227,8 +227,9 @@ def build_parser():
     opt_output(p)
 
     p = add("copositive-plane", _cmd_copositive_plane, "plane copositivity; exits 1 when not copositive")
-    p.add_argument("plane", nargs="?", help="plane tensor JSON file")
-    p.add_argument("--p", help="comma-separated coefficients p_0..p_l")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("plane", nargs="?", help="plane tensor JSON file")
+    given.add_argument("--p", help="comma-separated coefficients p_0..p_l")
     p.add_argument("--tol", type=float, default=1e-10)
     opt_output(p)
 

@@ -1,9 +1,11 @@
 """Copositivity and circle extremes of plane (binary) forms.
 
-A plane tensor P of degree l evaluates as sum_k C(l,k) p_k y1^(l-k) y2^k.
+A plane tensor P is a two-dimensional Hankel tensor: of order l with
+generating vector p_0..p_l, it evaluates as sum_k C(l,k) p_k y1^(l-k) y2^k.
 On the nonnegative quadrant its sign is governed by the segment function
 phi(t) = P(t, 1-t) for t in [0, 1]; on the unit circle its extremes are the
-extreme Z-eigenvalues of P.
+extreme Z-eigenvalues of P.  Every routine here takes any tensor of dim 2
+and rejects other dimensions.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .associated import PlaneTensor
+
+
+def _plane(p):
+    """Degree l and coefficients p_0..p_l of the two-dimensional tensor ``p``."""
+    if p.dim != 2:
+        raise ValueError(f"plane routines require dim = 2, got dim = {p.dim}")
+    return p.order, p.gen
 
 
 def phi_eval(p, t):
@@ -30,7 +38,7 @@ class CopositivityReport:
 
 
 def copositive_check(p, tol=1e-10):
-    """Decide copositivity of a plane tensor.
+    """Decide copositivity of a plane tensor, that is, of any tensor with dim 2.
 
     One cutoff, cut = tol * max(1, max |p_k|), judges every examined point:
     the plane is copositive iff phi >= -cut at each of them.  When an
@@ -40,7 +48,7 @@ def copositive_check(p, tol=1e-10):
     Bernstein coefficients are the differences of b_k = p_(l-k).  The
     witness is the examined point where phi is least.
     """
-    coeffs = np.asarray(p.coeffs, dtype=float)
+    coeffs = _plane(p)[1]
     cut = tol * max(1.0, float(np.max(np.abs(coeffs))))
     if min(coeffs[0], coeffs[-1]) < -cut:
         ts = np.array([0.0, 1.0])
@@ -65,7 +73,7 @@ class PlaneExtremes:
 def eval_plane(p, y1, y2):
     """Form value(s) at (y1, y2) by homogeneous de Casteljau; arguments may be arrays."""
     y1, y2 = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-    b = np.asarray(p.coeffs, dtype=float).reshape((-1,) + (1,) * y1.ndim)
+    b = _plane(p)[1].reshape((-1,) + (1,) * y1.ndim)
     val = polyroots._value(b, y1, y2)
     return float(val) if val.ndim == 0 else val
 
@@ -78,8 +86,7 @@ def z_extremes(p):
     q_j = j p_(j-1) - (l-j) p_(j+1); each zero direction is tried with both
     signs, together with the axes.
     """
-    l = p.degree
-    c = np.asarray(p.coeffs, dtype=float)
+    l, c = _plane(p)
     j = np.arange(l + 1)
     q = j * np.r_[0.0, c[:-1]] - (l - j) * np.r_[c[1:], 0.0]
     dirs = polyroots.form_directions(q)

@@ -14,8 +14,9 @@ import json
 
 import numpy as np
 
-from .associated import HankelMatrix, PlaneTensor
+from .associated import HankelMatrix
 from .core import HankelTensor
+from .plane import _plane
 from .vandermonde import DiscreteMeasure, VandermondeDecomposition
 
 
@@ -66,13 +67,14 @@ def matrix_from_dict(doc):
 
 
 def plane_to_dict(p):
-    return {"degree": p.degree, "p": np.asarray(p.coeffs).tolist()}
+    degree, coeffs = _plane(p)
+    return {"degree": degree, "p": coeffs.tolist()}
 
 
 def plane_from_dict(doc):
     degree = _require(doc, "degree", int, "plane")
     coeffs = _number_list(doc, "p", "plane")
-    return PlaneTensor(degree, coeffs)
+    return HankelTensor(degree, 2, coeffs)
 
 
 def decomposition_to_dict(d):

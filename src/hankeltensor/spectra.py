@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyroots
-from .associated import _PLANE_DEGREE_CAP, PlaneTensor, _counts_all, assoc_plane
+from .associated import _PLANE_DEGREE_CAP, _counts_all, assoc_plane
 from .core import HankelTensor, _forms, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
@@ -85,12 +85,13 @@ def _plane_lifts(order, dim, gen_bytes):
 
     The plane's circle extreme y lifts to w = (y1^(n-1-j) y2^j)_j, where
     A w^m = P(y), so x = w/|w| carries the plane extreme onto the unit
-    sphere.  At dim 2 the plane is the tensor itself, at every order.
+    sphere.  At dim 2 the plane is the tensor itself, at every order, so it
+    is used as it is, with no degree cap.
     Memoised on the tensor's content: the min and max starts of
     ``zeig_extreme`` and ``bounds_prop7`` share one ``z_extremes`` call.
     """
-    gen = np.frombuffer(gen_bytes)
-    plane = PlaneTensor(order, gen) if dim == 2 else assoc_plane(HankelTensor(order, dim, gen))
+    a = HankelTensor(order, dim, np.frombuffer(gen_bytes))
+    plane = a if dim == 2 else assoc_plane(a)
     ext = z_extremes(plane)
     ys = np.array([ext.y_min, ext.y_max])
     j = np.arange(dim)

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from hankeltensor import (
-    PlaneTensor,
     assoc_matrix,
     assoc_plane,
     bounds_prop6,
@@ -171,10 +170,10 @@ def test_criterion_6_copositivity_vs_grid_oracle(capsys):
     decided = 0
     for _ in range(200):
         l = int(rng.integers(2, 9))
-        p = PlaneTensor(l, rng.uniform(-1.0, 1.0, l + 1))
+        p = make_hankel(l, 2, rng.uniform(-1.0, 1.0, l + 1))
         grid = np.zeros_like(ts)
         for k in range(l + 1):
-            grid += math.comb(l, k) * p.coeffs[k] * ts ** (l - k) * (1.0 - ts) ** k
+            grid += math.comb(l, k) * p.gen[k] * ts ** (l - k) * (1.0 - ts) ** k
         grid_min = float(grid.min())
         if abs(grid_min) <= 1e-6:
             continue
@@ -182,7 +181,7 @@ def test_criterion_6_copositivity_vs_grid_oracle(capsys):
         if copositive_check(p).is_copositive != (grid_min > 0.0):
             disagreements += 1
 
-    fixed = copositive_check(PlaneTensor(2, [1.0, -3.0, 1.0]))
+    fixed = copositive_check(make_hankel(2, 2, [1.0, -3.0, 1.0]))
     fixed_ok = (
         not fixed.is_copositive
         and abs(fixed.witness_t - 0.5) <= 1e-10

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from hankeltensor import (
     DiscreteMeasure,
+    HankelMatrix,
     assoc_matrix,
     assoc_plane,
     copositive_necessary,
@@ -62,6 +63,8 @@ class TestCounts:
             count_s(-1, 3, 3)
         with pytest.raises(ValueError):
             count_s(7, 3, 3)
+        with pytest.raises(ValueError, match="^order and dim must be positive$"):
+            count_s(0, 0, 2)
 
 
 class TestAssocMatrix:
@@ -86,6 +89,12 @@ class TestAssocMatrix:
     def test_completion_rejected_when_even(self):
         with pytest.raises(ValueError):
             assoc_matrix(COUNTEREXAMPLE, completion=1.0)
+
+    def test_matrix_validation(self):
+        with pytest.raises(ValueError, match="^matrix of size 3 needs 5 antidiagonal values, got 3$"):
+            HankelMatrix(3, [1.0, 2.0, 3.0], None)
+        with pytest.raises(ValueError, match="^completion must be finite$"):
+            HankelMatrix(2, [1.0, 2.0], np.inf)
 
     def test_matrix_is_hankel(self, rng):
         a = random_hankel(rng, 3, 4)
@@ -249,19 +258,19 @@ class TestAssocPlane:
     def test_dim2_is_generating_vector(self, rng):
         a = random_hankel(rng, 4, 2)
         p = assoc_plane(a)
-        assert p.degree == 4
-        assert_allclose(p.coeffs, a.gen, atol=0)
+        assert p.order == 4
+        assert_allclose(p.gen, a.gen, atol=0)
 
     def test_matrix_dim3(self):
         a = make_hankel(2, 3, [1.0, 0.0, 0.0, 0.0, 1.0])
         p = assoc_plane(a)
-        assert p.degree == 4
-        assert_allclose(p.coeffs, [1.0, 0.0, 0.0, 0.0, 1.0], atol=0)
+        assert p.order == 4
+        assert_allclose(p.gen, [1.0, 0.0, 0.0, 0.0, 1.0], atol=0)
 
     def test_weights(self):
         # s = (1,2,3,2,1), C(4,k) = (1,4,6,4,1)
         a = make_hankel(2, 3, [1.0, 1.0, 1.0, 1.0, 1.0])
-        assert_allclose(assoc_plane(a).coeffs, [1.0, 0.5, 0.5, 0.5, 1.0], atol=1e-16)
+        assert_allclose(assoc_plane(a).gen, [1.0, 0.5, 0.5, 0.5, 1.0], atol=1e-16)
 
     def test_plane_evaluation_identity(self, rng):
         # P(1, u)^l equals A(1, u, ..., u^(n-1))^m
@@ -272,8 +281,8 @@ class TestAssocPlane:
             p = assoc_plane(a)
             u = float(rng.uniform(-1, 1))
             direct = sum(
-                math.comb(p.degree, k) * p.coeffs[k] * 1.0 ** (p.degree - k) * u**k
-                for k in range(p.degree + 1)
+                math.comb(p.order, k) * p.gen[k] * 1.0 ** (p.order - k) * u**k
+                for k in range(p.order + 1)
             )
             expect = eval_form(a, u ** np.arange(dim))
             assert direct == pytest.approx(expect, rel=1e-10, abs=1e-10)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hankeltensor import worked_examples
 from hankeltensor.cli import main
 
 
@@ -103,6 +104,21 @@ class TestVerdictCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_copositive_plane_rejects_file_and_p_together(self, tmp_path, capsys):
+        # the file alone is copositive and --p alone is not: neither may win
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"degree": 2, "p": [1.0, 0.0, 1.0]}))
+        for argv in ([str(path), "--p", "1,-3,1"], ["--p", "1,-3,1", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["copositive-plane", *argv])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not allowed with argument" in captured.err
+            assert "--p" in captured.err and "plane" in captured.err
+        assert run(capsys, "copositive-plane", str(path))[0] == 0
+        assert run(capsys, "copositive-plane", "--p", "1,-3,1")[0] == 1
+
     def test_falsify_witness(self, tmp_path, capsys):
         path = write_tensor(tmp_path, "n.json", 4, 2, [0.0, 0.0, -1 / 6, 0.0, 0.0])
         code, out, _ = run(capsys, "falsify", path)
@@ -192,6 +208,13 @@ class TestWorkedExamples:
         assert "paper claim not reproduced" in out
         assert "all checks behaved as documented" in out
 
+    def test_paper_examples_deviation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(worked_examples, "copositive_falsify", lambda a: None)
+        code, out, _ = run(capsys, "paper-examples")
+        assert code == 1
+        assert "[FAIL] A o B copositivity witness" in out
+        assert out.endswith("some checks deviated from the documented outcomes\n")
+
 
 class TestErrorPaths:
     def test_unreadable_file(self, capsys):
@@ -217,6 +240,8 @@ class TestErrorPaths:
     def test_bad_number_list(self, quartic, capsys):
         code, _, err = run(capsys, "eval", quartic, "--x", "1,abc")
         assert code == 2 and "--x expects" in err
+        code, _, err = run(capsys, "entry", quartic, "--idx", "1,a")
+        assert code == 2 and "--idx expects a comma-separated list of integers" in err
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

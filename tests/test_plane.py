@@ -8,14 +8,16 @@ import pytest
 from hankeltensor import plane, polyroots
 from hankeltensor import (
     DiscreteMeasure,
-    PlaneTensor,
     VandermondeDecomposition,
     assoc_plane,
     compose,
     copositive_check,
+    eval_gradient_form,
     eval_plane,
     from_measure,
     heig_dim2,
+    is_strong,
+    make_hankel,
     phi_eval,
     z_extremes,
 )
@@ -23,64 +25,64 @@ from hankeltensor import (
 
 def phi_direct(p, t):
     # phi(t) = P(t, 1-t), so phi(0) = p_l and phi(1) = p_0
-    l = p.degree
+    l = p.order
     t = np.asarray(t, dtype=float)
     out = sum(
-        math.comb(l, k) * p.coeffs[k] * t ** (l - k) * (1 - t) ** k for k in range(l + 1)
+        math.comb(l, k) * p.gen[k] * t ** (l - k) * (1 - t) ** k for k in range(l + 1)
     )
     return float(out) if out.ndim == 0 else out
 
 
 def eval_plane_direct(p, y1, y2):
-    l = p.degree
+    l = p.order
     return sum(
-        math.comb(l, k) * p.coeffs[k] * y1 ** (l - k) * y2**k for k in range(l + 1)
+        math.comb(l, k) * p.gen[k] * y1 ** (l - k) * y2**k for k in range(l + 1)
     )
 
 
 class TestPhiEval:
     def test_fixed_quadratic(self):
-        p = PlaneTensor(2, [1.0, -3.0, 1.0])
+        p = make_hankel(2, 2, [1.0, -3.0, 1.0])
         assert phi_eval(p, 0.5) == pytest.approx(-1.0, abs=1e-14)
 
     def test_endpoints_exact(self):
-        p = PlaneTensor(3, [0.3, -0.7, 2.0, -1.1])
+        p = make_hankel(3, 2, [0.3, -0.7, 2.0, -1.1])
         assert phi_eval(p, 0.0) == -1.1
         assert phi_eval(p, 1.0) == 0.3
 
     def test_matches_direct_sum(self, rng):
         for _ in range(40):
             l = int(rng.integers(2, 11))
-            p = PlaneTensor(l, rng.uniform(-2, 2, l + 1))
+            p = make_hankel(l, 2, rng.uniform(-2, 2, l + 1))
             t = float(rng.uniform(0, 1))
             assert phi_eval(p, t) == pytest.approx(phi_direct(p, t), rel=1e-12, abs=1e-12)
 
 
 class TestCopositiveCheck:
     def test_indefinite_quadratic(self):
-        rep = copositive_check(PlaneTensor(2, [1.0, -3.0, 1.0]))
+        rep = copositive_check(make_hankel(2, 2, [1.0, -3.0, 1.0]))
         assert not rep.is_copositive
         assert rep.witness_t == pytest.approx(0.5, abs=1e-10)
         assert rep.min_phi == pytest.approx(-1.0, abs=1e-10)
 
     def test_copositive_with_negative_entry(self):
         # x^2 - xy + y^2 stays positive on the nonnegative quadrant
-        rep = copositive_check(PlaneTensor(2, [1.0, -0.5, 1.0]))
+        rep = copositive_check(make_hankel(2, 2, [1.0, -0.5, 1.0]))
         assert rep.is_copositive
         assert rep.witness_t is None
         assert rep.min_phi == pytest.approx(0.25, abs=1e-10)
 
     def test_endpoint_failure(self):
-        rep = copositive_check(PlaneTensor(3, [-1.0, 5.0, 5.0, 2.0]))
+        rep = copositive_check(make_hankel(3, 2, [-1.0, 5.0, 5.0, 2.0]))
         assert not rep.is_copositive
         assert rep.witness_t == 1.0
-        rep = copositive_check(PlaneTensor(3, [2.0, 5.0, 5.0, -1.0]))
+        rep = copositive_check(make_hankel(3, 2, [2.0, 5.0, 5.0, -1.0]))
         assert not rep.is_copositive
         assert rep.witness_t == 0.0
 
     def test_boundary_zero_is_copositive(self):
         # (x - y)^2 touches zero at t = 1/2 but never dips below
-        rep = copositive_check(PlaneTensor(2, [1.0, -1.0, 1.0]))
+        rep = copositive_check(make_hankel(2, 2, [1.0, -1.0, 1.0]))
         assert rep.is_copositive
         assert rep.min_phi == pytest.approx(0.0, abs=1e-12)
 
@@ -88,15 +90,15 @@ class TestCopositiveCheck:
         for _ in range(20):
             l = int(rng.integers(2, 9))
             coeffs = rng.uniform(-1, 1, l + 1)
-            a = copositive_check(PlaneTensor(l, coeffs))
-            b = copositive_check(PlaneTensor(l, 1000.0 * coeffs))
+            a = copositive_check(make_hankel(l, 2, coeffs))
+            b = copositive_check(make_hankel(l, 2, 1000.0 * coeffs))
             assert a.is_copositive == b.is_copositive
             assert b.min_phi == pytest.approx(1000.0 * a.min_phi, rel=1e-9, abs=1e-9)
 
     def test_witness_actually_negative(self, rng):
         for _ in range(50):
             l = int(rng.integers(2, 9))
-            p = PlaneTensor(l, rng.uniform(-1, 1, l + 1))
+            p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
             rep = copositive_check(p)
             if not rep.is_copositive:
                 assert phi_direct(p, rep.witness_t) < 1e-9
@@ -105,31 +107,31 @@ class TestCopositiveCheck:
         ts = np.linspace(0.0, 1.0, 20001)
         for _ in range(100):
             l = int(rng.integers(2, 9))
-            p = PlaneTensor(l, rng.uniform(-1, 1, l + 1))
+            p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
             rep = copositive_check(p)
             grid_min = float(phi_direct(p, ts).min())
             if grid_min < -1e-6:
                 assert not rep.is_copositive
             elif grid_min > 1e-6:
                 assert rep.is_copositive
-            if p.coeffs[0] >= 0 and p.coeffs[-1] >= 0:
+            if p.gen[0] >= 0 and p.gen[-1] >= 0:
                 # full critical-point sweep ran, so min_phi is the true minimum
                 assert rep.min_phi <= grid_min + 1e-9
 
     def test_tiny_negative_endpoint_verdict_is_scale_free(self):
         # p_0 = -5e-11 sits within the cut at either scale
         coeffs = np.array([-5e-11, 0.5, 1.0])
-        a = copositive_check(PlaneTensor(2, coeffs))
-        b = copositive_check(PlaneTensor(2, 1000.0 * coeffs))
+        a = copositive_check(make_hankel(2, 2, coeffs))
+        b = copositive_check(make_hankel(2, 2, 1000.0 * coeffs))
         assert a.is_copositive and b.is_copositive
 
     def test_witness_attains_min_phi(self, rng):
-        rep = copositive_check(PlaneTensor(2, [-2.0, 0.0, -1.0]))
+        rep = copositive_check(make_hankel(2, 2, [-2.0, 0.0, -1.0]))
         assert not rep.is_copositive
         assert (rep.witness_t, rep.min_phi) == (1.0, -2.0)
         for _ in range(200):
             l = int(rng.integers(2, 13))
-            p = PlaneTensor(l, rng.uniform(-1, 1, l + 1) * 10.0 ** rng.uniform(-3, 3))
+            p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1) * 10.0 ** rng.uniform(-3, 3))
             rep = copositive_check(p)
             if not rep.is_copositive:
                 assert phi_eval(p, rep.witness_t) == rep.min_phi
@@ -143,7 +145,7 @@ class TestCopositiveCheck:
             coeffs[0] = -cut * 10.0 ** rng.uniform(-2, 1)
             if rng.uniform() < 0.5:
                 coeffs[-1] = -cut * 10.0 ** rng.uniform(-2, 1)
-            rep = copositive_check(PlaneTensor(l, coeffs))
+            rep = copositive_check(make_hankel(l, 2, coeffs))
             assert rep.is_copositive == (rep.min_phi >= -cut)
 
     def test_endpoint_below_cut_skips_the_sweep(self, monkeypatch):
@@ -153,7 +155,7 @@ class TestCopositiveCheck:
         monkeypatch.setattr(plane, "eval_plane", refuse)
         monkeypatch.setattr(polyroots, "bernstein_roots", refuse)
         for coeffs in ([-1.0, 5.0, 5.0, 2.0], [2.0, 5.0, -1e-7], [-3e3, 1e4, 1e3]):
-            rep = copositive_check(PlaneTensor(len(coeffs) - 1, coeffs))
+            rep = copositive_check(make_hankel(len(coeffs) - 1, 2, coeffs))
             assert not rep.is_copositive
             assert rep.critical_points == [0.0, 1.0]
 
@@ -161,7 +163,7 @@ class TestCopositiveCheck:
         # phi = (2t - 1)^50: its monomial coefficients reach 8e22, its
         # Bernstein coefficients stay at +-1
         l = 50
-        rep = copositive_check(PlaneTensor(l, [(-1.0) ** k for k in range(l + 1)]))
+        rep = copositive_check(make_hankel(l, 2, [(-1.0) ** k for k in range(l + 1)]))
         assert rep.is_copositive
         assert rep.min_phi == pytest.approx(0.0, abs=1e-12)
         assert 0.5 in rep.critical_points
@@ -171,14 +173,14 @@ class TestEvalPlane:
     def test_matches_direct(self, rng):
         for _ in range(30):
             l = int(rng.integers(2, 9))
-            p = PlaneTensor(l, rng.uniform(-2, 2, l + 1))
+            p = make_hankel(l, 2, rng.uniform(-2, 2, l + 1))
             y1, y2 = rng.uniform(-1.5, 1.5, 2)
             assert eval_plane(p, y1, y2) == pytest.approx(
                 eval_plane_direct(p, y1, y2), rel=1e-11, abs=1e-11
             )
 
     def test_homogeneous(self, rng):
-        p = PlaneTensor(4, rng.uniform(-1, 1, 5))
+        p = make_hankel(4, 2, rng.uniform(-1, 1, 5))
         v = eval_plane(p, 0.3, -0.8)
         assert eval_plane(p, 0.6, -1.6) == pytest.approx(2.0**4 * v, rel=1e-12)
 
@@ -186,26 +188,26 @@ class TestEvalPlane:
 class TestZExtremes:
     def test_diagonal_quadratic(self):
         # y1^2 + y2^2 on the circle is constant 1
-        ext = z_extremes(PlaneTensor(2, [1.0, 0.0, 1.0]))
+        ext = z_extremes(make_hankel(2, 2, [1.0, 0.0, 1.0]))
         assert ext.lambda_min == pytest.approx(1.0, abs=1e-9)
         assert ext.lambda_max == pytest.approx(1.0, abs=1e-9)
 
     def test_indefinite_quadratic(self):
         # 2 y1 y2 has extremes -1 and 1 at the diagonals
-        ext = z_extremes(PlaneTensor(2, [0.0, 1.0, 0.0]))
+        ext = z_extremes(make_hankel(2, 2, [0.0, 1.0, 0.0]))
         assert ext.lambda_min == pytest.approx(-1.0, abs=1e-9)
         assert ext.lambda_max == pytest.approx(1.0, abs=1e-9)
         assert abs(ext.y_max[0] * ext.y_max[1]) == pytest.approx(0.5, abs=1e-8)
 
     def test_quartic_counterexample(self):
-        ext = z_extremes(PlaneTensor(4, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0]))
+        ext = z_extremes(make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0]))
         assert ext.lambda_min == pytest.approx(0.25, abs=1e-8)
         assert ext.lambda_max == pytest.approx(1.0, abs=1e-8)
 
     def test_extremes_on_unit_circle(self, rng):
         for _ in range(20):
             l = int(rng.integers(2, 7))
-            ext = z_extremes(PlaneTensor(l, rng.uniform(-1, 1, l + 1)))
+            ext = z_extremes(make_hankel(l, 2, rng.uniform(-1, 1, l + 1)))
             assert np.hypot(*ext.y_min) == pytest.approx(1.0, abs=1e-12)
             assert np.hypot(*ext.y_max) == pytest.approx(1.0, abs=1e-12)
             assert ext.lambda_min <= ext.lambda_max + 1e-12
@@ -213,7 +215,7 @@ class TestZExtremes:
     def test_values_match_their_points(self, rng):
         for _ in range(20):
             l = int(rng.integers(2, 7))
-            p = PlaneTensor(l, rng.uniform(-1, 1, l + 1))
+            p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
             ext = z_extremes(p)
             assert eval_plane(p, *ext.y_min) == pytest.approx(ext.lambda_min, abs=1e-10)
             assert eval_plane(p, *ext.y_max) == pytest.approx(ext.lambda_max, abs=1e-10)
@@ -222,7 +224,7 @@ class TestZExtremes:
         thetas = np.linspace(0.0, 2 * np.pi, 100001)
         for _ in range(15):
             l = int(rng.integers(2, 7))
-            p = PlaneTensor(l, rng.uniform(-1, 1, l + 1))
+            p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
             vals = eval_plane(p, np.cos(thetas), np.sin(thetas))
             ext = z_extremes(p)
             assert ext.lambda_min <= vals.min() + 1e-7
@@ -231,13 +233,13 @@ class TestZExtremes:
     def test_odd_degree_antisymmetry(self, rng):
         for _ in range(10):
             l = int(rng.integers(1, 4)) * 2 + 1
-            ext = z_extremes(PlaneTensor(l, rng.uniform(-1, 1, l + 1)))
+            ext = z_extremes(make_hankel(l, 2, rng.uniform(-1, 1, l + 1)))
             assert ext.lambda_min == pytest.approx(-ext.lambda_max, rel=1e-8, abs=1e-10)
 
 
 def phi_exact(p, t):
     """phi(t) by de Casteljau in rational arithmetic."""
-    b = [Fraction(float(x)) for x in p.coeffs[::-1]]
+    b = [Fraction(float(x)) for x in p.gen[::-1]]
     t = Fraction(t)
     while len(b) > 1:
         b = [(1 - t) * x + t * y for x, y in zip(b[:-1], b[1:])]
@@ -275,7 +277,7 @@ class TestHighDegreeAndMultipleRoots:
         p = assoc_plane(from_measure(DiscreteMeasure(*measure), 10, 7))
         rep = copositive_check(p)
         exact = [phi_exact(p, t) for t in rep.critical_points]
-        scale = float(np.max(np.abs(p.coeffs)))
+        scale = float(np.max(np.abs(p.gen)))
         assert float(min(exact)) == pytest.approx(rep.min_phi, abs=1e-15 * scale)
         t_min = rep.critical_points[exact.index(min(exact))]
         for dt in (-1e-3, -1e-6, 1e-6, 1e-3):
@@ -308,7 +310,7 @@ class TestHighDegreeAndMultipleRoots:
         rep, dt = timed(copositive_check, p)
         assert rep.is_copositive
         assert dt < 1.0
-        assert rep.min_phi <= grid_min(p) + 1e-12 * float(np.max(np.abs(p.coeffs)))
+        assert rep.min_phi <= grid_min(p) + 1e-12 * float(np.max(np.abs(p.gen)))
 
     def test_rank_one_heig_dim2(self):
         node, weight = -0.07901919773786004, 0.7731754229298827
@@ -321,11 +323,43 @@ class TestHighDegreeAndMultipleRoots:
         assert values == pytest.approx([0.0, weight * (1.0 + node * root) ** 7], abs=1e-9)
 
 
+class TestPlaneIsDim2Tensor:
+    ROUTINES = (
+        copositive_check,
+        z_extremes,
+        lambda p: eval_plane(p, 0.5, 0.25),
+        lambda p: phi_eval(p, 0.5),
+    )
+
+    def test_plane_routines_take_dim2_tensors_only(self):
+        square = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
+        for routine in self.ROUTINES:
+            routine(square)
+            with pytest.raises(ValueError, match="dim = 2"):
+                routine(make_hankel(2, 3, [1.0, 0.0, 0.0, 0.0, 1.0]))
+        assert copositive_check(square).is_copositive
+        assert z_extremes(square).lambda_min == pytest.approx(0.25, abs=1e-12)
+
+    def test_tensor_routines_take_the_plane(self, rng):
+        a = make_hankel(2, 3, rng.uniform(-1, 1, 5))
+        p = assoc_plane(a)
+        assert (p.order, p.dim) == (4, 2)
+        i = np.arange(3)
+        want = np.linalg.eigvalsh(p.gen[i[:, None] + i[None, :]])[0]
+        assert is_strong(p).min_eigenvalue == pytest.approx(want, abs=1e-12)
+        pairs = heig_dim2(p)
+        assert pairs
+        for pair in pairs:
+            x = pair.vector
+            residual = eval_gradient_form(p, x) - pair.value * x**3
+            assert np.max(np.abs(residual)) <= 1e-9
+
+
 class TestValidation:
     def test_degree_and_length(self):
         with pytest.raises(ValueError):
-            PlaneTensor(1, [1.0, 2.0])
+            make_hankel(1, 2, [1.0, 2.0])
         with pytest.raises(ValueError):
-            PlaneTensor(2, [1.0, 2.0])
+            make_hankel(2, 2, [1.0, 2.0])
         with pytest.raises(ValueError):
-            PlaneTensor(2, [1.0, np.inf, 2.0])
+            make_hankel(2, 2, [1.0, np.inf, 2.0])

@@ -11,7 +11,6 @@ from hankeltensor import (
     EigenPair,
     HankelMatrix,
     HankelTensor,
-    PlaneTensor,
     StrongCertificate,
     VandermondeDecomposition,
     ZBounds,
@@ -56,10 +55,12 @@ class TestRoundTrips:
         assert back.completion is None
 
     def test_plane(self):
-        p = PlaneTensor(4, [1.0, 0.0, -1 / 6, 0.0, 1.0])
+        p = make_hankel(4, 2, [1.0, 0.0, -1 / 6, 0.0, 1.0])
         back = plane_from_dict(json.loads(json.dumps(plane_to_dict(p))))
-        assert back.degree == 4
-        assert_allclose(back.coeffs, p.coeffs, atol=0)
+        assert back.order == 4
+        assert_allclose(back.gen, p.gen, atol=0)
+        with pytest.raises(ValueError, match="dim = 2"):
+            plane_to_dict(make_hankel(2, 3, [1.0, 0.0, 0.0, 0.0, 1.0]))
 
     def test_decomposition(self):
         d = VandermondeDecomposition([0.5, -2.0], [1.0, 0.125])
@@ -124,8 +125,8 @@ class TestOneWayForms:
             is_strong(a),
             is_strong(make_hankel(2, 2, [1.0, 0.0, 1.0])),
             bounds_prop6(a),
-            copositive_check(PlaneTensor(2, [1.0, -3.0, 1.0])),
-            copositive_check(PlaneTensor(2, [1.0, 0.5, 1.0])),
+            copositive_check(make_hankel(2, 2, [1.0, -3.0, 1.0])),
+            copositive_check(make_hankel(2, 2, [1.0, 0.5, 1.0])),
         ]
         assert {type(r) for r in results} == {
             HankelTensor, HankelMatrix, DiscreteMeasure, EigenPair,

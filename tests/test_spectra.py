@@ -213,7 +213,7 @@ class TestZeig:
         original = spectra.z_extremes
 
         def counting(p):
-            calls.append(p.degree)
+            calls.append(p.order)
             return original(p)
 
         monkeypatch.setattr(spectra, "z_extremes", counting)
@@ -531,7 +531,7 @@ class TestCopositiveFalsify:
         assert np.concatenate(chunks).tobytes() == want.tobytes()
 
     def test_grid_above_the_cap_is_streamed(self, rng):
-        # the dim-5 grid at depth 1 has 766,480 rows, 30 MB
+        # the dim-5 grid at depth 1 has C(68, 4) = 814,385 rows, 32.6 MB
         assert math.comb(68, 4) * 5 * 8 > spectra._GRID_CACHE_BYTES
         before = spectra._simplex_grid.cache_info()
         copositive_falsify(random_hankel(rng, 2, 5))
@@ -552,7 +552,7 @@ class TestCopositiveFalsify:
 
     @pytest.mark.parametrize("steps", [64, 128])
     def test_chunks_start_like_the_point_generator_at_dim5(self, steps):
-        # 0.8 and 12.4 million rows in all: compare the first three chunks
+        # 0.8 and 12.1 million rows in all: compare the first three chunks
         got = np.vstack(list(itertools.islice(spectra._simplex_chunks(5, steps), 3)))
         want = np.array(list(itertools.islice(loop_simplex_grid(5, steps), got.shape[0])))
         assert got.shape[0] == 3 * spectra._GRID_CHUNK

@@ -171,6 +171,8 @@ class TestTypes:
             DiscreteMeasure([1.0, 2.0], [0.5, -0.1])
         with pytest.raises(ValueError):
             DiscreteMeasure([1.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^nodes and weights must have the same length$"):
+            DiscreteMeasure([0.0, 1.0], [1.0])
 
 
 class TestHadamardVd:
