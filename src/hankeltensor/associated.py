@@ -3,7 +3,9 @@
 Two companions drive most structural results: the associated Hankel *matrix*
 (whose positive semidefiniteness defines strong Hankel tensors) and the
 associated *plane tensor*, a two-dimensional (hence Hankel) tensor of order
-``(n-1)*m`` carrying the entry-count weights ``s(k, m, n)``.  When
+``(n-1)*m`` carrying the entry-count weights ``s(k, m, n)``.  A tensor of
+dimension 2 is its own plane at every order, since s(k, m, 2) = C(m, k); a
+plane is built only at dimension 3 and up, and only up to degree 60.  When
 ``(n-1)*m`` is odd the matrix has one free corner entry, and the tensor is
 strong iff some completion makes it PSD, which holds iff the minimal
 completion c* = b^T P^+ b does.  Strength is one eigenvalue test at every
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HankelTensor, _frozen_vector
+from .core import HankelTensor, _check_tol, _frozen_vector
 
 _PLANE_DEGREE_CAP = 60
 
@@ -129,17 +131,21 @@ def is_strong(a, tol=1e-10):
     eigenvalue just above the cut, so a large c* cannot mask an indefinite P.
     When not strong, the violation vector is the unit eigenvector of M's
     smallest eigenvalue, so z^T M z = min_eigenvalue < 0 for the reported
-    matrix.
+    matrix.  ``tol`` must be finite and nonnegative.
     """
+    _check_tol(tol)
     cut = tol * max(1.0, float(np.max(np.abs(a.gen))))
+    mat = assoc_matrix(a).matrix()
     completion = None
     if (a.dim - 1) * a.order % 2:
-        m0 = assoc_matrix(a).matrix()
-        lam, vecs = np.linalg.eigh(m0[:-1, :-1])
-        bh = vecs.T @ m0[:-1, -1]
+        lam, vecs = np.linalg.eigh(mat[:-1, :-1])
+        bh = vecs.T @ mat[:-1, -1]
         keep = lam > cut
         completion = float(np.sum(bh[keep] ** 2 / lam[keep]))
-    vals, vecs = np.linalg.eigh(assoc_matrix(a, completion).matrix())
+        if not np.isfinite(completion):
+            raise ValueError("completion must be finite")
+        mat[-1, -1] = completion
+    vals, vecs = np.linalg.eigh(mat)
     min_eig = float(vals[0])
     ok = min_eig >= -cut
     return StrongCertificate(ok, min_eig, completion, None if ok else vecs[:, 0])
@@ -151,10 +157,16 @@ def assoc_plane(a):
     The plane is the :class:`HankelTensor` of order l = (n-1)m, dim 2 and
     generating vector p_0..p_l, so every tensor routine applies to it; its
     form is sum_k C(l,k) p_k y1^(l-k) y2^k.
+    At dim 2 every weight s(k, m, 2) / C(m, k) is 1, so ``a`` is returned
+    itself, at every order.  At dim 3 and up the plane is built, and a degree
+    above the capacity cap of 60 is refused; this is the one place that
+    decides which tensors have a plane.
     Counts and binomials are exact integers.  Their ratio is rounded to float
     once, by integer true division, and the product with v_k rounds once
     more: p_k carries a relative error of at most eps (1 + eps/4).
     """
+    if a.dim == 2:
+        return a
     top = (a.dim - 1) * a.order
     if top > _PLANE_DEGREE_CAP:
         raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")

@@ -9,9 +9,23 @@ polynomial in ``m`` and ``n``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _check_tol(tol):
+    """Refuse a tolerance that is not finite and nonnegative; NaN compares false."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def _as_finite_vector(x, name):
@@ -34,7 +48,8 @@ def _frozen_vector(x, name):
 class HankelTensor:
     """Symmetric Hankel tensor held by its generating vector.
 
-    Immutable after construction; the generating vector is stored read-only.
+    Immutable after construction; ``order`` and ``dim`` are stored as Python
+    ints and the generating vector read-only.
     """
 
     order: int
@@ -42,15 +57,18 @@ class HankelTensor:
     gen: np.ndarray
 
     def __post_init__(self):
-        if self.order < 2 or self.dim < 2:
+        order, dim = _integer("order", self.order), _integer("dim", self.dim)
+        if order < 2 or dim < 2:
             raise ValueError("order and dim must both be at least 2")
         gen = _frozen_vector(self.gen, "gen")
-        expect = (self.dim - 1) * self.order + 1
+        expect = (dim - 1) * order + 1
         if gen.shape[0] != expect:
             raise ValueError(
                 f"generating vector has length {gen.shape[0]}, "
                 f"expected (dim-1)*order+1 = {expect}"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gen", gen)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
+from .core import _check_tol
 
 
 def _plane(p):
@@ -46,8 +47,10 @@ def copositive_check(p, tol=1e-10):
     points are the two endpoints alone.  Otherwise they are the endpoints
     and every interior critical point of phi, a root of phi', whose
     Bernstein coefficients are the differences of b_k = p_(l-k).  The
-    witness is the examined point where phi is least.
+    witness is the examined point where phi is least.  ``tol`` must be
+    finite and nonnegative.
     """
+    _check_tol(tol)
     coeffs = _plane(p)[1]
     cut = tol * max(1.0, float(np.max(np.abs(coeffs))))
     if min(coeffs[0], coeffs[-1]) < -cut:

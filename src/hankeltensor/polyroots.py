@@ -14,6 +14,10 @@ terms b_k C(l,k) scaled by a power of two.  That evaluation is wrong by at
 most 3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k, the same order as de
 Casteljau's bound, so the two can disagree on a sign only where the
 polynomial is at rounding level.
+
+The engine takes degrees up to 1023.  The binomials C(l,k) and the scaled
+terms stay below 2^l, so nothing overflows there; a higher degree is
+refused with a ``ValueError`` before any work.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 _MIN_WIDTH = 1e-12
 _EPS = float(np.finfo(float).eps)
+_MAX_DEGREE = 1023
 
 
 @lru_cache(maxsize=64)
@@ -57,7 +62,9 @@ def _value(b, y1, y2):
 
 @lru_cache(maxsize=64)
 def _binomials(l):
-    """C(l,k) for k = 0..l as floats (read-only)."""
+    """C(l,k) for k = 0..l as floats (read-only); a degree above 1023 is refused."""
+    if l > _MAX_DEGREE:
+        raise ValueError(f"degree {l} exceeds the root engine's limit {_MAX_DEGREE}")
     c = np.array([float(math.comb(l, k)) for k in range(l + 1)])
     c.flags.writeable = False
     return c
@@ -67,7 +74,7 @@ def _scaled_terms(b):
     """The binary exponent e of max |b_k|, and the terms 2^-e b_k C(l,k) as floats.
 
     The scaling by 2^-e is exact and keeps every term, and every Horner sum
-    over them, below 2^l in magnitude, so nothing overflows below degree 1024.
+    over them, below 2^l in magnitude, so nothing overflows up to degree 1023.
     """
     e = int(np.frexp(np.max(np.abs(b)))[1])
     return e, (np.ldexp(b, -e) * _binomials(b.size - 1)).tolist()
@@ -96,19 +103,18 @@ def _horner(terms, t):
     return acc * t**l
 
 
-def _falsi(b, lo, hi, flo, fhi):
+def _falsi(e, terms, lo, hi, flo, fhi):
     """The root of b inside (lo, hi), where its values flo and fhi differ in sign.
 
     Illinois regula falsi.  Every second step bisects instead when the two
     steps before it have not halved the bracket, so that skewed end values
     cannot stall it.  Each step costs O(l): ``_horner`` on the terms
-    2^-e b_k C(l,k) of ``_scaled_terms``, with flo and fhi scaled by the same
-    2^-e, so the value at t is 2^-e b(t) within
+    2^-e b_k C(l,k) that ``_scaled_terms(b)`` returns with e, with flo and
+    fhi scaled by the same 2^-e, so the value at t is 2^-e b(t) within
     3(l+1) eps 2^-e sum_k |b_k| B_k(t), B_k the Bernstein basis.  That is the
     order of de Casteljau's error, so the two can take different signs only
     where b is at rounding level.
     """
-    e, terms = _scaled_terms(b)
     flo, fhi = math.ldexp(flo, -e), math.ldexp(fhi, -e)
     side = 0
     t = lo
@@ -150,11 +156,14 @@ def bernstein_roots(b):
     the whole polynomial.  A rounding-level value at a split point is a root
     there.  A piece narrower than 1e-12, or one whose coefficients are all
     at rounding level, is one candidate at its midpoint; touching candidates
-    of that kind merge into one.
+    of that kind merge into one.  A degree above 1023 is refused first.
     """
     b = np.asarray(b, dtype=float)
     l = b.size - 1
-    if l < 1 or not np.any(b):
+    if l < 1:
+        return []
+    e, terms = _scaled_terms(b)
+    if not np.any(b):
         return []
     gamma = (l + 2) * _EPS
     left, right = _halving(l)
@@ -171,7 +180,7 @@ def bernstein_roots(b):
         if changes == 0:
             continue
         if changes == 1 and signed[0] and signed[-1]:
-            t = _falsi(b, lo, hi, float(c[0]), float(c[-1]))
+            t = _falsi(e, terms, lo, hi, float(c[0]), float(c[-1]))
             found.append((t, t))
             continue
         mid = 0.5 * (lo + hi)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,20 +29,13 @@ import numpy as np
 
 from . import polyroots
 from .associated import _PLANE_DEGREE_CAP, _counts_all, assoc_plane
-from .core import HankelTensor, _forms, _power_coeffs, eval_form, eval_gradient_form
+from .core import HankelTensor, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
 _RESIDUAL_OK_REL = 1e-8
 _GRID_CHUNK = 4096
 _GRID_CACHE_BYTES = 4 << 20
-
-
-def _integer(name, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -85,14 +77,13 @@ def _plane_lifts(order, dim, gen_bytes):
 
     The plane's circle extreme y lifts to w = (y1^(n-1-j) y2^j)_j, where
     A w^m = P(y), so x = w/|w| carries the plane extreme onto the unit
-    sphere.  At dim 2 the plane is the tensor itself, at every order, so it
-    is used as it is, with no degree cap.
+    sphere.  Whether the tensor has a plane is ``assoc_plane``'s to decide;
+    at dim 2 the plane is the tensor and the lift is y/|y|.
     Memoised on the tensor's content: the min and max starts of
     ``zeig_extreme`` and ``bounds_prop7`` share one ``z_extremes`` call.
     """
     a = HankelTensor(order, dim, np.frombuffer(gen_bytes))
-    plane = a if dim == 2 else assoc_plane(a)
-    ext = z_extremes(plane)
+    ext = z_extremes(assoc_plane(a))
     ys = np.array([ext.y_min, ext.y_max])
     j = np.arange(dim)
     w = ys[:, :1] ** (dim - 1 - j) * ys[:, 1:] ** j
@@ -148,9 +139,10 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     stationarity system.  ``mode='min'`` runs the method on -A.
     Deterministic starts are always included: the coordinate vectors, and
     the lifted plane extreme of the mode when dim is 2 or the plane degree
-    (dim-1)*order is within the cap.  ``restarts`` seeded random
-    starts are added.  The best stationary pair over all starts is returned,
-    with non-convergence reported in-band.
+    (dim-1)*order is within the cap; at dim 2 above order 1023 the circle
+    extremes, and so the call, are refused by the root engine.
+    ``restarts`` seeded random starts are added.  The best stationary pair
+    over all starts is returned, with non-convergence reported in-band.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -161,6 +153,16 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
+    starts = [np.eye(a.dim)[i] for i in range(a.dim)]
+    top = (a.dim - 1) * a.order
+    if a.dim == 2 or top <= _PLANE_DEGREE_CAP:
+        x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
+        starts.append(x_max if mode == "max" else x_min)
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        v = rng.standard_normal(a.dim)
+        starts.append(v / np.linalg.norm(v))
+
     sign = 1.0 if mode == "max" else -1.0
     work = HankelTensor(a.order, a.dim, sign * np.asarray(a.gen))
     scale = _entry_abs_sum(work.gen, work.order, work.dim)
@@ -168,20 +170,10 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     beta_pad = 1e-9 * (1.0 + scale)
     idx = np.arange(a.dim)
     outer_idx = idx[:, None] + idx[None, :]
-    rng = np.random.default_rng(seed)
 
     def local_beta(m_mat):
         low = float(np.linalg.eigvalsh(m_mat)[0])
         return (a.order - 1) * max(0.0, -low) + beta_pad
-
-    starts = [np.eye(a.dim)[i] for i in range(a.dim)]
-    top = (a.dim - 1) * a.order
-    if a.dim == 2 or top <= _PLANE_DEGREE_CAP:
-        x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
-        starts.append(x_max if mode == "max" else x_min)
-    for _ in range(restarts):
-        v = rng.standard_normal(a.dim)
-        starts.append(v / np.linalg.norm(v))
 
     best = None
     for x0 in starts:
@@ -277,15 +269,12 @@ def bounds_prop6(a):
 def bounds_prop7(a):
     """Bounds from the associated plane tensor's circle extremes.
 
-    Requires (dim-1)*order even and within the plane degree cap.  Each bound
-    is the form's value at a lifted circle extreme, a point of the unit
-    sphere, so it brackets the extreme Z-eigenvalue by construction.
+    Each bound is the form's value at a lifted circle extreme, a point of the
+    unit sphere, and any such value lies between the extreme Z-eigenvalues,
+    so the bounds hold at every parity of (dim-1)*order.  ``zeig_extreme``
+    starts from the same lifts, odd degree included, so its estimates sit
+    inside them.  A tensor without a plane is refused by ``assoc_plane``.
     """
-    top = (a.dim - 1) * a.order
-    if top % 2 == 1:
-        raise ValueError("bounds_prop7 requires (dim-1)*order to be even")
-    if top > _PLANE_DEGREE_CAP:
-        raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
     x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
     return ZBounds(eval_form(a, x_min), eval_form(a, x_max), "prop7")
 

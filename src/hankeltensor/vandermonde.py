@@ -110,8 +110,9 @@ def decompose(a, nodes=None):
     Working range with the default nodes: the round trip through ``compose``
     stays within 1e-8 * max|v| up to (n-1)m = 20, and its error grows about
     2.5x per degree beyond that.  A ``NumericalError`` becomes possible from
-    degree 29 and is certain from degree 34, well inside the plane degree
-    cap of 60 that the other routines accept.  Of 200 dim-2 generating
+    degree 29 and is certain from degree 34, well inside the cap of 60 on
+    the planes ``assoc_plane`` builds at dim 3 and up, and far below the
+    degrees the plane routines take at dim 2.  Of 200 dim-2 generating
     vectors drawn from uniform(-1, 1) per degree (numpy ``default_rng(0)``
     at each degree), none failed up to degree 28; 3 failed at 29, 53 at 30,
     166 at 31, 196 at 32, 199 at 33 and all 200 at 34 and 35.

@@ -161,6 +161,12 @@ class TestIsStrong:
         assert cert.is_strong
         assert cert.completion_used == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # nan would make every verdict "not strong", inf every verdict "strong"
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_strong(make_hankel(2, 2, [-1.0, 0.0, -1.0]), tol=tol)
+
     def test_odd_case_range_failure(self):
         # P = [[0,0],[0,1]] is PSD but b = (1,0) misses range(P)
         cert = is_strong(make_hankel(3, 2, [0.0, 0.0, 1.0, 0.0]))

@@ -147,7 +147,7 @@ class TestPipelines:
         want = json.loads(open(src).read())["gen"]
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_assoc_matrix_and_plane(self, quartic, capsys):
+    def test_assoc_matrix_and_plane(self, tmp_path, quartic, capsys):
         code, out, _ = run(capsys, "assoc-matrix", quartic)
         assert code == 0
         doc = json.loads(out)
@@ -156,6 +156,12 @@ class TestPipelines:
         code, out, _ = run(capsys, "plane", quartic)
         assert code == 0
         assert json.loads(out) == {"degree": 4, "p": [1.0, 0.0, -1 / 6, 0.0, 1.0]}
+
+        # a dim-2 tensor is its own plane at every order, past the cap of 60 on built planes
+        gen = np.random.default_rng(0).uniform(-1, 1, 63).tolist()
+        code, out, _ = run(capsys, "plane", write_tensor(tmp_path, "t62.json", 62, 2, gen))
+        assert code == 0
+        assert json.loads(out) == {"degree": 62, "p": gen}
 
     def test_from_measure(self, tmp_path, capsys):
         mu = tmp_path / "mu.json"
@@ -170,7 +176,7 @@ class TestPipelines:
         assert code == 0
         assert json.loads(out)["gen"] == [0.0, 0.0, -1 / 6, 0.0, 0.0]
 
-    def test_bounds_sources(self, quartic, capsys):
+    def test_bounds_sources(self, tmp_path, quartic, capsys):
         code, out, _ = run(capsys, "bounds", quartic)
         assert code == 0
         assert json.loads(out) == {"upper_for_min": 1.0, "lower_for_max": 1.0, "source": "prop6"}
@@ -179,6 +185,14 @@ class TestPipelines:
         doc = json.loads(out)
         assert doc["upper_for_min"] == pytest.approx(0.25, abs=1e-8)
         assert doc["lower_for_max"] == pytest.approx(1.0, abs=1e-8)
+
+        # odd (dim-1)*order: the form x1^3 + x2^3 takes -1 and 1 on the circle
+        cubic = write_tensor(tmp_path, "c.json", 3, 2, [1.0, 0.0, 0.0, 1.0])
+        code, out, _ = run(capsys, "bounds", cubic, "--source", "prop7")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["upper_for_min"] == pytest.approx(-1.0, abs=1e-12)
+        assert doc["lower_for_max"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEigenCommands:
@@ -242,6 +256,28 @@ class TestErrorPaths:
         assert code == 2 and "--x expects" in err
         code, _, err = run(capsys, "entry", quartic, "--idx", "1,a")
         assert code == 2 and "--idx expects a comma-separated list of integers" in err
+
+    def test_nonfinite_or_negative_tol_exits_2(self, tmp_path, capsys):
+        path = write_tensor(tmp_path, "s.json", 2, 2, [1.0, 0.0, 1.0])
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, "is-strong", path, "--tol", tol)
+            assert (code, out) == (2, "") and "tol must be finite and nonnegative" in err
+            code, out, err = run(capsys, "copositive-plane", "--p", "1,0,1", "--tol", tol)
+            assert (code, out) == (2, "") and "tol must be finite and nonnegative" in err
+
+    def test_degree_past_the_root_engine_exits_2(self, tmp_path, capsys):
+        gen = np.random.default_rng(0).uniform(0.5, 1.0, 1031)
+        t1024 = write_tensor(tmp_path, "t1024.json", 1024, 2, gen[:1025])
+        cases = [
+            ("bounds", t1024, "--source", "prop7"),
+            ("heig2", write_tensor(tmp_path, "t513.json", 513, 2, gen[:514])),
+            ("copositive-plane", "--p", ",".join(map(str, gen[:1026]))),
+            ("zeig", write_tensor(tmp_path, "t1030.json", 1030, 2, gen), "--mode", "max"),
+        ]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "exceeds the root engine's limit 1023" in err
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

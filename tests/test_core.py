@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hankeltensor import (
     make_hankel,
 )
 from hankeltensor.core import _forms
+from hankeltensor.serialize import to_dict
 from conftest import dense_eval, random_hankel, to_dense
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
@@ -49,6 +51,15 @@ def test_make_hankel_validates():
         make_hankel(2, 2, [0.0, np.nan, 0.0])
     with pytest.raises(ValueError, match="^gen must be a one-dimensional real vector$"):
         make_hankel(2, 2, [[1.0, 2.0, 3.0]])
+
+
+def test_order_and_dim_are_integers():
+    for order, dim, name in [(2.0, 2, "order"), (2, 2.0, "dim")]:
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, not float$"):
+            make_hankel(order, dim, np.ones(3))
+    a = make_hankel(np.int64(2), np.int64(2), np.ones(3))
+    assert type(a.order) is int and type(a.dim) is int
+    assert json.loads(json.dumps(to_dict(a))) == {"order": 2, "dim": 2, "gen": [1.0, 1.0, 1.0]}
 
 
 def test_gen_is_read_only():

@@ -86,6 +86,11 @@ class TestCopositiveCheck:
         assert rep.is_copositive
         assert rep.min_phi == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            copositive_check(make_hankel(2, 2, [1.0, 0.0, 1.0]), tol=tol)
+
     def test_scale_equivariance(self, rng):
         for _ in range(20):
             l = int(rng.integers(2, 9))

@@ -1,10 +1,19 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hankeltensor import polyroots
+from hankeltensor import (
+    bounds_prop7,
+    copositive_check,
+    heig_dim2,
+    make_hankel,
+    polyroots,
+    z_extremes,
+    zeig_extreme,
+)
 from hankeltensor.polyroots import _halving, _horner, _scaled_terms, bernstein_roots, form_directions
 
 EPS = Fraction(float(np.finfo(float).eps))
@@ -223,3 +232,28 @@ class TestScalarRefinement:
                 b = bernstein_product(b, [-r, 1 - r])
             got = bernstein_roots(np.array([float(x) for x in b]))
             assert got == pytest.approx([float(r) for r in roots], abs=1e-12)
+
+
+class TestDegreeLimit:
+    def test_limit_is_where_scaled_terms_stay_finite(self):
+        assert np.isfinite(polyroots._binomials(1023)).all()
+        with pytest.raises(ValueError, match="degree 1024 exceeds the root engine's limit 1023"):
+            polyroots._binomials(1024)
+
+    def test_public_routines_refuse_before_any_work(self):
+        # the engine's degree: l for the circle extremes, 2m - 2 for heig_dim2, and l - 1
+        # (phi') for copositive_check with positive endpoints; at order 1030 zeig_extreme's
+        # entry counts no longer fit a float, so the refusal must come first
+        gen = np.random.default_rng(0).uniform(0.5, 1.0, 1031)
+        cases = [
+            (z_extremes, (make_hankel(1024, 2, gen[:1025]),), 1024),
+            (bounds_prop7, (make_hankel(1024, 2, gen[:1025]),), 1024),
+            (heig_dim2, (make_hankel(513, 2, gen[:514]),), 1024),
+            (copositive_check, (make_hankel(1025, 2, gen[:1026]),), 1024),
+            (zeig_extreme, (make_hankel(1030, 2, gen), "max"), 1030),
+        ]
+        for fn, args, degree in cases:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"degree {degree} exceeds the root engine's limit 1023"):
+                fn(*args)
+            assert time.perf_counter() - start < 0.1

@@ -399,20 +399,27 @@ class TestBounds:
         assert b.upper_for_min == pytest.approx(0.0, abs=1e-12)
         assert b.lower_for_max == pytest.approx(0.0, abs=1e-12)
 
-    def test_parity_guard(self):
-        with pytest.raises(ValueError):
-            bounds_prop7(make_hankel(3, 2, np.ones(4)))
-
     def test_degree_cap(self, rng):
-        # at dim 2 the plane is never built, so only bounds_prop7's own check holds the cap
-        for order, dim in [(62, 2), (31, 3)]:
-            with pytest.raises(ValueError, match="plane degree 62 exceeds the capacity cap 60"):
-                bounds_prop7(random_hankel(rng, order, dim))
+        # assoc_plane alone holds the cap, and only for planes it builds (dim >= 3);
+        # a dim-2 tensor is its own plane at every order
+        with pytest.raises(ValueError, match="plane degree 62 exceeds the capacity cap 60"):
+            bounds_prop7(random_hankel(rng, 31, 3))
+        a = random_hankel(rng, 62, 2)
+        assert assoc_plane(a) is a
+        ext = z_extremes(a)
+        b = bounds_prop7(a)
+        # the lift of y at dim 2 is y / |y|, equal to y up to rounding
+        for y, bound in [(ext.y_min, b.upper_for_min), (ext.y_max, b.lower_for_max)]:
+            assert bound == pytest.approx(eval_form(a, y / np.linalg.norm(y)), rel=1e-12)
 
     def test_bounds_sandwich_extremes(self, rng):
-        for _ in range(10):
-            order = 2 * int(rng.integers(1, 3))
-            dim = int(rng.integers(2, 4))
+        def shapes():
+            for _ in range(10):
+                yield 2 * int(rng.integers(1, 3)), int(rng.integers(2, 4))
+            # odd (dim-1)*order: the bounds need no parity
+            yield from [(3, 2), (5, 2), (3, 4), (5, 4)]
+
+        for order, dim in shapes():
             a = random_hankel(rng, order, dim)
             lo = zmin(a).value
             hi = zmax(a).value
