@@ -134,14 +134,19 @@ def is_strong(a, tol=1e-10):
     matrix.  ``tol`` must be finite and nonnegative.
     """
     _check_tol(tol)
-    cut = tol * max(1.0, float(np.max(np.abs(a.gen))))
+    big = float(np.max(np.abs(a.gen)))
+    cut = tol * max(1.0, big)
     mat = assoc_matrix(a).matrix()
     completion = None
     if (a.dim - 1) * a.order % 2:
-        lam, vecs = np.linalg.eigh(mat[:-1, :-1])
-        bh = vecs.T @ mat[:-1, -1]
-        keep = lam > cut
-        completion = float(np.sum(bh[keep] ** 2 / lam[keep]))
+        # P and b enter eigh scaled by 2^-e < 1/max|v|, so bh^2 cannot
+        # overflow; the scaling is exact and is undone on lam_i and c*
+        e = int(np.frexp(big)[1])
+        scaled = np.ldexp(mat, -e)
+        lam, vecs = np.linalg.eigh(scaled[:-1, :-1])
+        bh = vecs.T @ scaled[:-1, -1]
+        keep = np.ldexp(lam, e) > cut
+        completion = float(np.ldexp(np.sum(bh[keep] ** 2 / lam[keep]), e))
         if not np.isfinite(completion):
             raise ValueError("completion must be finite")
         mat[-1, -1] = completion

@@ -37,11 +37,14 @@ def _halving(l):
     """Matrices taking degree-l Bernstein coefficients on a piece to its halves.
 
     Left half: b_i = 2^-i sum_{j<=i} C(i,j) b_j; the right half mirrors it.
+    Each row is an exact Pascal row rounded to float once; scaling it by 2^-i
+    is exact, so every entry is the correctly rounded C(i,j) / 2^i.
     """
     left = np.zeros((l + 1, l + 1))
+    row = [1]
     for i in range(l + 1):
-        for j in range(i + 1):
-            left[i, j] = math.comb(i, j) / 2**i
+        left[i, : i + 1] = np.array(row, dtype=float) * 2.0**-i
+        row = [x + y for x, y in zip([0] + row, row + [0])]
     right = left[::-1, ::-1].copy()
     left.flags.writeable = False
     right.flags.writeable = False

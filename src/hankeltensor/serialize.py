@@ -14,7 +14,6 @@ import json
 
 import numpy as np
 
-from .associated import HankelMatrix
 from .core import HankelTensor
 from .plane import _plane
 from .vandermonde import DiscreteMeasure, VandermondeDecomposition
@@ -55,15 +54,6 @@ def tensor_from_dict(doc):
     dim = _require(doc, "dim", int, "tensor")
     gen = _number_list(doc, "gen", "tensor")
     return HankelTensor(order, dim, gen)
-
-
-def matrix_from_dict(doc):
-    size = _require(doc, "size", int, "matrix")
-    w = _number_list(doc, "w", "matrix")
-    completion = doc.get("completion")
-    if completion is not None and (isinstance(completion, bool) or not isinstance(completion, (int, float))):
-        raise ValueError("matrix: field 'completion' has the wrong type")
-    return HankelMatrix(size, w, None if completion is None else float(completion))
 
 
 def plane_to_dict(p):

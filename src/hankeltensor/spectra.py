@@ -8,7 +8,8 @@ toward a globally sufficient cap, so every restart ascends monotonically.
 Restarts combine the coordinate directions, the associated plane tensor's
 circle extreme lifted to the unit sphere (the point where the plane bound is
 taken), and seeded random directions; this makes the plane-derived bounds
-hold against the estimates by construction.
+hold against the estimates by construction.  Only the winning start is
+polished, and ``converged`` is the returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification evaluates the form on the simplex grid in row
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyroots
-from .associated import _PLANE_DEGREE_CAP, _counts_all, assoc_plane
+from .associated import _PLANE_DEGREE_CAP, assoc_plane
 from .core import HankelTensor, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
@@ -52,11 +53,6 @@ class ZBounds:
     upper_for_min: float
     lower_for_max: float
     source: str
-
-
-def _entry_abs_sum(gen, order, dim):
-    counts = np.array(_counts_all(order, dim), dtype=float)
-    return float(np.dot(counts, np.abs(gen)))
 
 
 def _grad_and_jacobian(work, x, outer_idx):
@@ -119,7 +115,7 @@ def _newton_polish(work, x, lam, outer_idx, steps=8):
         x = x + delta[:n]
         lam = lam + float(delta[n])
         nrm = float(np.linalg.norm(x))
-        if nrm < 1e-300:
+        if not 1e-300 <= nrm < np.inf:
             break
         x = x / nrm
     g = eval_gradient_form(work, x)
@@ -135,14 +131,17 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     from the smallest eigenvalue of the local Jacobian A x^(m-2) and raised
     toward the always-sufficient cap (m-1) * sum_k s(k,m,n) |v_k| whenever a
     step fails to increase the Rayleigh value, so the iterate value never
-    drops.  Each start finishes with a guarded Newton polish of the
-    stationarity system.  ``mode='min'`` runs the method on -A.
+    drops; a stall, or a step whose norm is zero or overflows, ends a start.
+    ``mode='min'`` runs the method on -A.
     Deterministic starts are always included: the coordinate vectors, and
     the lifted plane extreme of the mode when dim is 2 or the plane degree
     (dim-1)*order is within the cap; at dim 2 above order 1023 the circle
     extremes, and so the call, are refused by the root engine.
-    ``restarts`` seeded random starts are added.  The best stationary pair
-    over all starts is returned, with non-convergence reported in-band.
+    ``restarts`` seeded random starts are added.  The start of highest value
+    (the first on ties) alone gets a guarded Newton polish, and ``converged``
+    is its residual test, residual <= 1e-8 * (1 + |lambda|).  A cap sum that
+    overflows a float is refused with a ``ValueError``; with |v| <= 1 that
+    takes order 647 or more at dim 3.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -163,9 +162,11 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         v = rng.standard_normal(a.dim)
         starts.append(v / np.linalg.norm(v))
 
+    scale = float(np.dot(_power_coeffs(np.ones(a.dim), a.order), np.abs(a.gen)))
+    if not np.isfinite(scale):
+        raise ValueError(f"the shift scale overflows at order {a.order}, dim {a.dim}")
     sign = 1.0 if mode == "max" else -1.0
     work = HankelTensor(a.order, a.dim, sign * np.asarray(a.gen))
-    scale = _entry_abs_sum(work.gen, work.order, work.dim)
     beta_cap = (a.order - 1) * scale + 1e-12
     beta_pad = 1e-9 * (1.0 + scale)
     idx = np.arange(a.dim)
@@ -181,11 +182,10 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         g, m_mat = _grad_and_jacobian(work, x, outer_idx)
         lam = float(np.dot(x, g))
         beta = local_beta(m_mat)
-        stalled = False
         for _ in range(iters):
             y = g + beta * x
             nrm = float(np.linalg.norm(y))
-            if nrm < 1e-300:
+            if not 1e-300 <= nrm < np.inf:
                 break
             x_new = y / nrm
             g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
@@ -196,21 +196,17 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
             x, g, m_mat = x_new, g_new, m_new
             if abs(lam_new - lam) <= _LAMBDA_STALL_REL * (1.0 + abs(lam_new)):
                 lam = lam_new
-                stalled = True
                 break
             lam = lam_new
             beta = local_beta(m_mat)
-        residual = float(np.max(np.abs(g - lam * x)))
-        x_p, lam_p, residual_p = _newton_polish(work, x, lam, outer_idx)
-        if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):
-            x, lam, residual = x_p, lam_p, residual_p
-        converged = stalled or residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam))
-        cand = (converged, lam, x, residual)
-        if best is None:
-            best = cand
-        elif (cand[0], cand[1]) > (best[0], best[1]):
-            best = cand
-    converged, lam, x, residual = best
+        if best is None or lam > best[0]:
+            best = (lam, x, g)
+    lam, x, g = best
+    residual = float(np.max(np.abs(g - lam * x)))
+    x_p, lam_p, residual_p = _newton_polish(work, x, lam, outer_idx)
+    if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):
+        x, lam, residual = x_p, lam_p, residual_p
+    converged = residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam))
     return EigenPair("Z", sign * lam, x, converged, residual)
 
 

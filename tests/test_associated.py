@@ -161,6 +161,21 @@ class TestIsStrong:
         assert cert.is_strong
         assert cert.completion_used == pytest.approx(0.0, abs=1e-14)
 
+    def test_magnitude_does_not_refuse_a_strong_tensor(self):
+        # bh^2 ~ 1e320 would overflow unscaled; the certificate is the unit
+        # tensor's, up to rounding, times 1e160
+        unit = is_strong(make_hankel(3, 2, [1.0] * 4))
+        cert = is_strong(make_hankel(3, 2, [1e160] * 4))
+        assert cert.is_strong and cert.violation_vector is None
+        assert cert.completion_used == pytest.approx(1e160 * unit.completion_used, rel=1e-12)
+        assert abs(cert.min_eigenvalue) <= 1e-14 * 1e160
+
+    def test_infinite_completion_is_refused(self):
+        # with tol = 0 the eigenvalue 1e-310 of P is kept, and b_2^2 / 1e-310
+        # is beyond the float range
+        with pytest.raises(ValueError, match="^completion must be finite$"):
+            is_strong(make_hankel(3, 2, [1.0, 0.0, 1e-310, 1.0]), tol=0.0)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
         # nan would make every verdict "not strong", inf every verdict "strong"

@@ -279,6 +279,13 @@ class TestErrorPaths:
             assert (code, out) == (2, ""), argv
             assert "exceeds the root engine's limit 1023" in err
 
+    def test_overflowing_zeig_shift_scale_exits_2(self, tmp_path, capsys):
+        gen = np.random.default_rng(660).uniform(-1, 1, 1321)
+        path = write_tensor(tmp_path, "t660.json", 660, 3, gen)
+        code, out, err = run(capsys, "zeig", path, "--mode", "max")
+        assert (code, out) == (2, "")
+        assert "shift scale overflows at order 660, dim 3" in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zeig", "x.json", "--mode", "sideways"])

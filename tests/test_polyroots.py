@@ -105,6 +105,18 @@ class TestBasics:
                 assert casteljau(left @ b, s) == pytest.approx(casteljau(b, 0.5 * s), abs=1e-14)
                 assert casteljau(right @ b, s) == pytest.approx(casteljau(b, 0.5 + 0.5 * s), abs=1e-14)
 
+    def test_halving_entries_are_correctly_rounded(self):
+        # every entry is exactly C(i,j) / 2^i rounded once, up to the engine's
+        # limit, where 2^-1023 and the smallest ratios are subnormal
+        for l, rows in ((1, None), (2, None), (5, None), (30, None), (60, None),
+                        (1023, (0, 1, 2, 511, 1000, 1022, 1023))):
+            left, right = _halving(l)
+            for i in range(l + 1) if rows is None else rows:
+                want = np.zeros(l + 1)
+                want[: i + 1] = [math.comb(i, j) / 2**i for j in range(i + 1)]
+                assert left[i].tobytes() == want.tobytes(), (l, i)
+                assert right[l - i].tobytes() == want[::-1].tobytes(), (l, i)
+
 
 class TestCounting:
     def test_quadratic(self):

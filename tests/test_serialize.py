@@ -25,7 +25,6 @@ from hankeltensor.serialize import (
     decomposition_from_dict,
     decomposition_to_dict,
     load_json,
-    matrix_from_dict,
     measure_from_dict,
     plane_from_dict,
     plane_to_dict,
@@ -42,17 +41,6 @@ class TestRoundTrips:
         b = tensor_from_dict(doc)
         assert (b.order, b.dim) == (3, 2)
         assert_allclose(b.gen, a.gen, atol=0)
-
-    def test_matrix_with_and_without_completion(self):
-        hm = assoc_matrix(make_hankel(3, 2, [1.0, 2.0, 3.0, 4.0]), completion=0.5)
-        back = matrix_from_dict(json.loads(json.dumps(to_dict(hm))))
-        assert back.size == hm.size
-        assert back.completion == 0.5
-        assert_allclose(back.matrix(), hm.matrix(), atol=0)
-
-        even = assoc_matrix(make_hankel(2, 2, [1.0, 0.0, 1.0]))
-        back = matrix_from_dict(json.loads(json.dumps(to_dict(even))))
-        assert back.completion is None
 
     def test_plane(self):
         p = make_hankel(4, 2, [1.0, 0.0, -1 / 6, 0.0, 1.0])
@@ -159,8 +147,6 @@ class TestValidation:
             tensor_from_dict({"order": True, "dim": 2, "gen": [1, 2, 3]})
         with pytest.raises(ValueError, match="entry 1 is not a number"):
             tensor_from_dict({"order": 2, "dim": 2, "gen": [1, "x", 3]})
-        with pytest.raises(ValueError, match="matrix: field 'completion'"):
-            matrix_from_dict({"size": 2, "w": [1, 2, 3], "completion": "big"})
 
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="expected a JSON object"):

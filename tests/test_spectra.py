@@ -224,6 +224,37 @@ class TestZeig:
         bounds_prop7(a)
         assert calls == [8]
 
+    def test_only_the_winning_start_is_polished(self, monkeypatch):
+        calls = []
+        original = spectra._newton_polish
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_newton_polish", counting)
+        for order, dim in ((4, 3), (3, 5), (6, 2)):
+            a = make_hankel(order, dim, np.linspace(-1.0, 0.5, (dim - 1) * order + 1))
+            for mode in ("min", "max"):
+                calls.clear()
+                pair = zeig_extreme(a, mode, restarts=4)
+                assert len(calls) == 1, (order, dim, mode)
+                assert pair.converged == (pair.residual <= 1e-8 * (1.0 + abs(pair.value)))
+
+    def test_dim2_high_order_reaches_the_circle_extreme(self):
+        # 2^m-sized shifts overflow the power step's norm at this order; an
+        # overflowing step must end its start, not zero the iterate
+        a = make_hankel(550, 2, np.random.default_rng(550).uniform(-1, 1, 551))
+        pair = zeig_extreme(a, "max", restarts=4, iters=300)
+        lam = z_extremes(a).lambda_max
+        assert pair.converged
+        assert abs(pair.value - lam) <= 1e-9 * abs(lam)
+
+    def test_overflowing_shift_scale_is_refused(self):
+        a = make_hankel(660, 3, np.random.default_rng(660).uniform(-1, 1, 1321))
+        with pytest.raises(ValueError, match="shift scale overflows at order 660, dim 3"):
+            zeig_extreme(a, "max")
+
     def test_deterministic(self):
         a = make_hankel(3, 3, np.linspace(-1, 1, 7))
         p1 = zmax(a, restarts=5, seed=42)
