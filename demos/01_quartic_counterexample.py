@@ -33,8 +33,10 @@ print(f"  maximum {ext.lambda_max:.6f} at {np.round(ext.y_max, 6)}")
 print("  min > 0, so the tensor is positive semi-definite (in fact positive definite).")
 
 cert = is_strong(a)
-m = assoc_matrix(a).matrix()
-print("\nAssociated Hankel matrix:")
+h = assoc_matrix(a)
+i = np.arange(h.dim)
+m = h.gen[i[:, None] + i]
+print(f"\nAssociated Hankel matrix: the order-2 tensor of dim {h.dim}, entry (i, j) = gen[i + j]:")
 print(m)
 print(f"is_strong -> {cert.is_strong}, smallest eigenvalue {cert.min_eigenvalue:.6f}")
 z = cert.violation_vector

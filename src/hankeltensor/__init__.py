@@ -7,7 +7,6 @@ with certified bounds.
 """
 
 from .associated import (
-    HankelMatrix,
     StrongCertificate,
     assoc_matrix,
     assoc_plane,
@@ -61,7 +60,6 @@ __all__ = [
     "eval_form",
     "eval_gradient_form",
     "hadamard",
-    "HankelMatrix",
     "StrongCertificate",
     "count_s",
     "assoc_matrix",

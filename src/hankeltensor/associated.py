@@ -1,16 +1,19 @@
 """Objects associated with a Hankel tensor.
 
-Two companions drive most structural results: the associated Hankel *matrix*
-(whose positive semidefiniteness defines strong Hankel tensors) and the
-associated *plane tensor*, a two-dimensional (hence Hankel) tensor of order
-``(n-1)*m`` carrying the entry-count weights ``s(k, m, n)``.  A tensor of
-dimension 2 is its own plane at every order, since s(k, m, 2) = C(m, k); a
-plane is built only at dimension 3 and up, and only up to degree 60.  When
-``(n-1)*m`` is odd the matrix has one free corner entry, and the tensor is
-strong iff some completion makes it PSD, which holds iff the minimal
-completion c* = b^T P^+ b does.  Strength is one eigenvalue test at every
-degree: the (minimally completed) matrix's smallest eigenvalue must be at
-least ``-tol * max(1, max |v|)``.
+Two companions drive most structural results, and both are Hankel tensors
+themselves: the associated Hankel *matrix*, whose positive semidefiniteness
+defines strong Hankel tensors, is the order-2 tensor of dim
+q = ceil(((n-1)m + 2) / 2) with the same generating vector; the associated
+*plane tensor* is the dim-2 tensor of order ``(n-1)*m`` carrying the
+entry-count weights ``s(k, m, n)``.  Every tensor routine therefore applies
+to either.  A tensor of dimension 2 is its own plane at every order, since
+s(k, m, 2) = C(m, k); a plane is built only at dimension 3 and up, and only
+up to degree 60.  When ``(n-1)*m`` is odd the matrix has one free corner
+entry, the last of its generating vector, and the tensor is strong iff some
+completion makes it PSD, which holds iff the minimal completion
+c* = b^T P^+ b does.  Strength is one eigenvalue test at every degree: the
+(minimally completed) matrix's smallest eigenvalue must be at least
+``-tol * max(1, max |v|)``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HankelTensor, _check_tol, _frozen_vector
+from .core import HankelTensor, _check_tol
 
 _PLANE_DEGREE_CAP = 60
 
@@ -63,51 +66,31 @@ def count_s(k, order, dim):
     return _counts_all(order, dim)[k]
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """Associated Hankel matrix of size q = ceil(((n-1)m + 2) / 2).
-
-    ``w`` holds the tensor's generating vector; ``completion`` is the extra
-    corner entry needed exactly when ``(n-1)*m`` is odd.
-    """
-
-    size: int
-    w: np.ndarray
-    completion: Optional[float]
-
-    def __post_init__(self):
-        w = _frozen_vector(self.w, "w")
-        need = 2 * self.size - 1
-        have = w.shape[0] + (0 if self.completion is None else 1)
-        if have != need:
-            raise ValueError(f"matrix of size {self.size} needs {need} antidiagonal values, got {have}")
-        if self.completion is not None and not np.isfinite(self.completion):
-            raise ValueError("completion must be finite")
-        object.__setattr__(self, "w", w)
-
-    def matrix(self):
-        """Materialise the symmetric q x q matrix with entries w[i+j]."""
-        full = np.asarray(self.w)
-        if self.completion is not None:
-            full = np.concatenate([full, [self.completion]])
-        i = np.arange(self.size)
-        return full[i[:, None] + i[None, :]]
-
-
 def assoc_matrix(a, completion=None):
-    """Associated Hankel matrix of ``a``.
+    """Associated Hankel matrix of ``a``, as the order-2 :class:`HankelTensor`.
 
-    A completion value may only be supplied when ``(n-1)*m`` is odd; it
-    defaults to 0 in that case.
+    Its dim is q = ceil(((n-1)m + 2) / 2) and its generating vector is the
+    tensor's, so entry (i, j) is v_(i+j).  When ``(n-1)*m`` is odd one
+    corner value is missing and is appended to the generating vector: the
+    given ``completion``, 0 by default.  A completion may only be supplied
+    then, and must be finite.
     """
     top = (a.dim - 1) * a.order
     q = (top + 2 + 1) // 2  # ceil((top + 2) / 2)
     if top % 2 == 0:
         if completion is not None:
             raise ValueError("completion not applicable: (dim-1)*order is even")
-        return HankelMatrix(q, a.gen, None)
+        return HankelTensor(2, q, a.gen)
     c = 0.0 if completion is None else float(completion)
-    return HankelMatrix(q, a.gen, c)
+    if not np.isfinite(c):
+        raise ValueError("completion must be finite")
+    return HankelTensor(2, q, np.append(a.gen, c))
+
+
+def _square(h):
+    """Dense q x q array of the order-2 tensor ``h``: entry (i, j) is gen[i + j]."""
+    i = np.arange(h.dim)
+    return h.gen[i[:, None] + i]
 
 
 @dataclass(frozen=True)
@@ -136,7 +119,7 @@ def is_strong(a, tol=1e-10):
     _check_tol(tol)
     big = float(np.max(np.abs(a.gen)))
     cut = tol * max(1.0, big)
-    mat = assoc_matrix(a).matrix()
+    mat = _square(assoc_matrix(a))
     completion = None
     if (a.dim - 1) * a.order % 2:
         # P and b enter eigh scaled by 2^-e < 1/max|v|, so bh^2 cannot
@@ -146,10 +129,10 @@ def is_strong(a, tol=1e-10):
         lam, vecs = np.linalg.eigh(scaled[:-1, :-1])
         bh = vecs.T @ scaled[:-1, -1]
         keep = np.ldexp(lam, e) > cut
-        completion = float(np.ldexp(np.sum(bh[keep] ** 2 / lam[keep]), e))
-        if not np.isfinite(completion):
-            raise ValueError("completion must be finite")
-        mat[-1, -1] = completion
+        # a c* past the float range is refused by assoc_matrix
+        with np.errstate(over="ignore"):
+            completion = float(np.ldexp(np.sum(bh[keep] ** 2 / lam[keep]), e))
+        mat = _square(assoc_matrix(a, completion))
     vals, vecs = np.linalg.eigh(mat)
     min_eig = float(vals[0])
     ok = min_eig >= -cut

@@ -98,12 +98,13 @@ def _cmd_plane(args):
 
 def _cmd_copositive_plane(args):
     if args.plane is not None:
-        p = serialize.plane_from_dict(serialize.load_json(args.plane))
+        doc = serialize.load_json(args.plane)
     elif args.p is not None:
-        coeffs = _floats(args.p, "--p")
-        p = make_hankel(coeffs.shape[0] - 1, 2, coeffs)
+        coeffs = _floats(args.p, "--p").tolist()
+        doc = {"degree": len(coeffs) - 1, "p": coeffs}
     else:
         raise ValueError("supply a plane JSON file or --p")
+    p = serialize.plane_from_dict(doc)
     report = plane.copositive_check(p, args.tol)
     _emit(args, serialize.report_to_dict(report))
     return 0 if report.is_copositive else 1
@@ -212,7 +213,7 @@ def build_parser():
     p.add_argument("--grad", action="store_true", help="print A x^(m-1) instead")
     opt_digits(p)
 
-    p = add("assoc-matrix", _cmd_assoc_matrix, "associated Hankel matrix (optional corner completion)")
+    p = add("assoc-matrix", _cmd_assoc_matrix, "associated Hankel matrix, written as an order-2 tensor")
     p.add_argument("tensor")
     p.add_argument("--completion", type=float, default=None)
     opt_output(p)

@@ -62,8 +62,16 @@ def plane_to_dict(p):
 
 
 def plane_from_dict(doc):
+    """The plane a file or ``--p`` describes; errors name ``degree`` and ``p``."""
     degree = _require(doc, "degree", int, "plane")
     coeffs = _number_list(doc, "p", "plane")
+    if degree < 2:
+        raise ValueError(f"plane: a plane needs degree at least 2, got degree {degree}")
+    if coeffs.shape[0] != degree + 1:
+        have = coeffs.shape[0]
+        raise ValueError(f"plane: degree {degree} needs {degree + 1} coefficients in 'p', got {have}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("plane: field 'p' must contain only finite values")
     return HankelTensor(degree, 2, coeffs)
 
 

@@ -177,30 +177,33 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         return (a.order - 1) * max(0.0, -low) + beta_pad
 
     best = None
-    for x0 in starts:
-        x = x0 / np.linalg.norm(x0)
-        g, m_mat = _grad_and_jacobian(work, x, outer_idx)
-        lam = float(np.dot(x, g))
-        beta = local_beta(m_mat)
-        for _ in range(iters):
-            y = g + beta * x
-            nrm = float(np.linalg.norm(y))
-            if not 1e-300 <= nrm < np.inf:
-                break
-            x_new = y / nrm
-            g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
-            lam_new = float(np.dot(x_new, g_new))
-            if lam_new < lam - 1e-14 * (1.0 + abs(lam)) and beta < beta_cap:
-                beta = min(max(2.0 * beta, 1e-6 * (1.0 + scale)), beta_cap)
-                continue
-            x, g, m_mat = x_new, g_new, m_new
-            if abs(lam_new - lam) <= _LAMBDA_STALL_REL * (1.0 + abs(lam_new)):
-                lam = lam_new
-                break
-            lam = lam_new
+    # a step whose norm overflows ends its start (the guard below), so its
+    # overflow warning is silenced, by one errstate per call, not per step
+    with np.errstate(over="ignore"):
+        for x0 in starts:
+            x = x0 / np.linalg.norm(x0)
+            g, m_mat = _grad_and_jacobian(work, x, outer_idx)
+            lam = float(np.dot(x, g))
             beta = local_beta(m_mat)
-        if best is None or lam > best[0]:
-            best = (lam, x, g)
+            for _ in range(iters):
+                y = g + beta * x
+                nrm = float(np.linalg.norm(y))
+                if not 1e-300 <= nrm < np.inf:
+                    break
+                x_new = y / nrm
+                g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
+                lam_new = float(np.dot(x_new, g_new))
+                if lam_new < lam - 1e-14 * (1.0 + abs(lam)) and beta < beta_cap:
+                    beta = min(max(2.0 * beta, 1e-6 * (1.0 + scale)), beta_cap)
+                    continue
+                x, g, m_mat = x_new, g_new, m_new
+                if abs(lam_new - lam) <= _LAMBDA_STALL_REL * (1.0 + abs(lam_new)):
+                    lam = lam_new
+                    break
+                lam = lam_new
+                beta = local_beta(m_mat)
+            if best is None or lam > best[0]:
+                best = (lam, x, g)
     lam, x, g = best
     residual = float(np.max(np.abs(g - lam * x)))
     x_p, lam_p, residual_p = _newton_polish(work, x, lam, outer_idx)

@@ -82,6 +82,11 @@ def to_dense(a):
     return DenseSymmetricTensor(a.order, a.dim, np.asarray(a.gen)[sums])
 
 
+def dense_matrix(h):
+    """The dim x dim array of an order-2 tensor, such as an associated matrix."""
+    return to_dense(h).entries.reshape(h.dim, h.dim)
+
+
 def dense_eval(d, x):
     """Naive form evaluation over all dim^order index tuples (ground truth)."""
     x = _as_finite_vector(x, "x")

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from hankeltensor import (
     DiscreteMeasure,
-    HankelMatrix,
     assoc_matrix,
     assoc_plane,
     copositive_necessary,
@@ -17,7 +16,8 @@ from hankeltensor import (
     is_strong,
     make_hankel,
 )
-from conftest import distinct_nodes, psd_check, random_hankel, random_measure
+from hankeltensor.serialize import to_dict
+from conftest import dense_matrix, distinct_nodes, psd_check, random_hankel, random_measure
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 # every (order, dim) with (dim - 1) * order odd and at most 30
@@ -70,10 +70,11 @@ class TestCounts:
 class TestAssocMatrix:
     def test_counterexample(self):
         hm = assoc_matrix(COUNTEREXAMPLE)
-        assert hm.size == 3
-        assert hm.completion is None
+        assert (hm.order, hm.dim) == (2, 3)
+        # even degree: nothing is appended to the generating vector
+        assert_allclose(hm.gen, COUNTEREXAMPLE.gen, atol=0)
         assert_allclose(
-            hm.matrix(),
+            dense_matrix(hm),
             [[1.0, 0.0, -1 / 6], [0.0, -1 / 6, 0.0], [-1 / 6, 0.0, 1.0]],
             atol=0,
         )
@@ -81,24 +82,31 @@ class TestAssocMatrix:
     def test_odd_needs_completion(self):
         a = make_hankel(3, 2, [1.0, 1.0, 1.0, 1.0])
         hm = assoc_matrix(a, completion=1.0)
-        assert hm.size == 3
-        assert_allclose(hm.matrix(), np.ones((3, 3)), atol=0)
+        assert (hm.order, hm.dim) == (2, 3)
+        assert_allclose(dense_matrix(hm), np.ones((3, 3)), atol=0)
         # default completion is zero
-        assert assoc_matrix(a).matrix()[2, 2] == 0.0
+        assert dense_matrix(assoc_matrix(a))[2, 2] == 0.0
+        # the completion is appended to the generating vector, at dim q
+        for order, dim in ODD_SHAPES:
+            a = make_hankel(order, dim, np.arange(1.0, (dim - 1) * order + 2))
+            q = ((dim - 1) * order + 3) // 2
+            for completion, want in [(None, 0.0), (0.25, 0.25), (-3, -3.0)]:
+                hm = assoc_matrix(a, completion)
+                assert (hm.order, hm.dim) == (2, q)
+                assert hm.gen[:-1].tolist() == a.gen.tolist()
+                assert hm.gen[-1] == want
 
     def test_completion_rejected_when_even(self):
         with pytest.raises(ValueError):
             assoc_matrix(COUNTEREXAMPLE, completion=1.0)
 
     def test_matrix_validation(self):
-        with pytest.raises(ValueError, match="^matrix of size 3 needs 5 antidiagonal values, got 3$"):
-            HankelMatrix(3, [1.0, 2.0, 3.0], None)
         with pytest.raises(ValueError, match="^completion must be finite$"):
-            HankelMatrix(2, [1.0, 2.0], np.inf)
+            assoc_matrix(make_hankel(3, 2, [1.0, 1.0, 1.0, 1.0]), completion=np.inf)
 
     def test_matrix_is_hankel(self, rng):
         a = random_hankel(rng, 3, 4)
-        m = assoc_matrix(a, completion=0.5).matrix()
+        m = dense_matrix(assoc_matrix(a, completion=0.5))
         q = m.shape[0]
         for i in range(q):
             for j in range(q):
@@ -114,7 +122,7 @@ class TestPsdCheck:
         assert min_eig == pytest.approx(1.0, abs=1e-14)
 
     def test_counterexample_matrix(self):
-        ok, min_eig, witness = psd_check(assoc_matrix(COUNTEREXAMPLE).matrix())
+        ok, min_eig, witness = psd_check(dense_matrix(assoc_matrix(COUNTEREXAMPLE)))
         assert not ok
         assert min_eig == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert abs(witness[1]) == pytest.approx(1.0, abs=1e-10)
@@ -147,7 +155,7 @@ class TestIsStrong:
         assert not cert.is_strong
         assert cert.min_eigenvalue == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert cert.completion_used is None
-        m = assoc_matrix(COUNTEREXAMPLE).matrix()
+        m = dense_matrix(assoc_matrix(COUNTEREXAMPLE))
         assert cert.violation_vector @ m @ cert.violation_vector < 0
 
     def test_all_ones_odd_case(self):
@@ -250,7 +258,7 @@ class TestIsStrong:
             assert not (off_range and cert.is_strong)
             if not cert.is_strong:
                 z = cert.violation_vector
-                m = assoc_matrix(a, cert.completion_used).matrix()
+                m = dense_matrix(assoc_matrix(a, cert.completion_used))
                 assert z @ m @ z < 0
                 assert z @ m @ z == pytest.approx(cert.min_eigenvalue, rel=1e-8, abs=1e-12)
 
@@ -258,7 +266,7 @@ class TestIsStrong:
         for order, dim in [(2, 2), (4, 2), (6, 2), (2, 3), (3, 3), (4, 3), (2, 5), (4, 4)]:
             for a in (random_hankel(rng, order, dim), from_measure(random_measure(rng), order, dim)):
                 cert = is_strong(a)
-                ok, min_eig, witness = psd_check(assoc_matrix(a).matrix())
+                ok, min_eig, witness = psd_check(dense_matrix(assoc_matrix(a)))
                 assert cert.is_strong is ok
                 assert cert.min_eigenvalue == min_eig
                 assert cert.completion_used is None
@@ -266,13 +274,15 @@ class TestIsStrong:
                     assert cert.violation_vector is None and witness is None
                 else:
                     assert np.array_equal(cert.violation_vector, witness)
+                # the associated matrix of the matrix is the matrix itself
+                assert to_dict(is_strong(assoc_matrix(a))) == to_dict(cert)
 
     def test_completion_monotonicity(self):
         a = make_hankel(3, 2, [1.0, 1.0, 1.0, 1.0])
         cert = is_strong(a)
         for delta, expect in [(0.0, True), (1.0, True), (-0.1, False)]:
             hm = assoc_matrix(a, completion=cert.completion_used + delta)
-            assert psd_check(hm.matrix())[0] is expect
+            assert psd_check(dense_matrix(hm))[0] is expect
 
 
 class TestAssocPlane:

@@ -99,6 +99,19 @@ class TestVerdictCommands:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_copositive_plane_errors_name_degree_and_p(self, tmp_path, capsys):
+        code, out, err = run(capsys, "copositive-plane", "--p", "1,-3")
+        assert (code, out) == (2, "")
+        assert "plane: a plane needs degree at least 2, got degree 1" in err
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"degree": 3, "p": [1.0, 2.0]}))
+        code, out, err = run(capsys, "copositive-plane", str(path))
+        assert (code, out) == (2, "")
+        assert "plane: degree 3 needs 4 coefficients in 'p', got 2" in err
+        code, out, err = run(capsys, "copositive-plane", "--p", "1,nan,1")
+        assert (code, out) == (2, "")
+        assert "plane: field 'p' must contain only finite values" in err
+
     def test_copositive_plane_requires_input(self, capsys):
         code, _, err = run(capsys, "copositive-plane")
         assert code == 2
@@ -151,7 +164,12 @@ class TestPipelines:
         code, out, _ = run(capsys, "assoc-matrix", quartic)
         assert code == 0
         doc = json.loads(out)
-        assert doc["size"] == 3 and doc["completion"] is None
+        assert doc == {"order": 2, "dim": 3, "gen": [1.0, 0.0, -1 / 6, 0.0, 1.0]}
+        # odd degree: the completion is the last generating-vector entry
+        cubic = write_tensor(tmp_path, "c.json", 3, 2, [1.0, 0.0, 0.0, 1.0])
+        code, out, _ = run(capsys, "assoc-matrix", cubic, "--completion", "2.5")
+        assert code == 0
+        assert json.loads(out) == {"order": 2, "dim": 3, "gen": [1.0, 0.0, 0.0, 1.0, 2.5]}
 
         code, out, _ = run(capsys, "plane", quartic)
         assert code == 0
@@ -162,6 +180,19 @@ class TestPipelines:
         code, out, _ = run(capsys, "plane", write_tensor(tmp_path, "t62.json", 62, 2, gen))
         assert code == 0
         assert json.loads(out) == {"degree": 62, "p": gen}
+
+    def test_tensor_commands_read_the_matrix(self, tmp_path, quartic, capsys):
+        matrix = str(tmp_path / "m.json")
+        assert run(capsys, "assoc-matrix", quartic, "-o", matrix)[0] == 0
+        code, out, _ = run(capsys, "is-strong", matrix)
+        assert code == 1
+        assert json.loads(out)["min_eigenvalue"] == pytest.approx(-1 / 6, abs=1e-12)
+        # z^T M z at the middle unit vector is the middle antidiagonal value
+        code, out, _ = run(capsys, "eval", matrix, "--x", "0,1,0")
+        assert code == 0 and float(out) == -1 / 6
+        code, out, _ = run(capsys, "zeig", matrix, "--mode", "min")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(-1 / 6, abs=1e-12)
 
     def test_from_measure(self, tmp_path, capsys):
         mu = tmp_path / "mu.json"

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from hankeltensor import (
     DiscreteMeasure,
-    HankelMatrix,
     HankelTensor,
     VandermondeDecomposition,
     entry,
@@ -72,7 +71,6 @@ def test_array_fields_are_frozen_copies():
     # every array field is stored read-only, as a copy of the caller's array
     cases = [
         (lambda g: HankelTensor(2, 2, g), {"gen": [1.0, 2.0, 3.0]}),
-        (lambda w: HankelMatrix(2, w, None), {"w": [1.0, 2.0, 3.0]}),
         (VandermondeDecomposition, {"nodes": [0.5, -2.0], "coeffs": [1.0, 0.25]}),
         (DiscreteMeasure, {"nodes": [0.5, -2.0], "weights": [0.75, 0.25]}),
     ]

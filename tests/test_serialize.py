@@ -9,7 +9,6 @@ from hankeltensor import (
     CopositivityReport,
     DiscreteMeasure,
     EigenPair,
-    HankelMatrix,
     HankelTensor,
     StrongCertificate,
     VandermondeDecomposition,
@@ -117,7 +116,7 @@ class TestOneWayForms:
             copositive_check(make_hankel(2, 2, [1.0, 0.5, 1.0])),
         ]
         assert {type(r) for r in results} == {
-            HankelTensor, HankelMatrix, DiscreteMeasure, EigenPair,
+            HankelTensor, DiscreteMeasure, EigenPair,
             StrongCertificate, ZBounds, CopositivityReport,
         }
         for obj in results:
@@ -147,6 +146,17 @@ class TestValidation:
             tensor_from_dict({"order": True, "dim": 2, "gen": [1, 2, 3]})
         with pytest.raises(ValueError, match="entry 1 is not a number"):
             tensor_from_dict({"order": 2, "dim": 2, "gen": [1, "x", 3]})
+
+    def test_plane_errors_name_degree_and_p(self):
+        with pytest.raises(ValueError, match=r"^plane: degree 3 needs 4 coefficients in 'p', got 2$"):
+            plane_from_dict({"degree": 3, "p": [1.0, 2.0]})
+        for degree, p in [(1, [1.0, -3.0]), (0, [1.0]), (-1, [])]:
+            with pytest.raises(
+                ValueError, match=f"^plane: a plane needs degree at least 2, got degree {degree}$"
+            ):
+                plane_from_dict({"degree": degree, "p": p})
+        with pytest.raises(ValueError, match="^plane: field 'p' must contain only finite values$"):
+            plane_from_dict({"degree": 2, "p": [1.0, float("nan"), 1.0]})
 
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="expected a JSON object"):
