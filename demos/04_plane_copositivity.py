@@ -16,7 +16,6 @@ from hankeltensor import (
     copositive_falsify,
     eval_form,
     make_hankel,
-    phi_eval,
 )
 
 p = make_hankel(2, 2, np.array([1.0, -3.0, 1.0]))
@@ -25,7 +24,7 @@ rep = copositive_check(p)
 print("copositive:", rep.is_copositive)
 print(f"witness t = {rep.witness_t}, phi there = {rep.min_phi}")
 print("examined points:", [round(t, 6) for t in rep.critical_points])
-print("check: phi(0.5) =", phi_eval(p, 0.5))
+print("check: phi(0.5) = P(0.5, 0.5) =", eval_form(p, [0.5, 0.5]))
 
 q = make_hankel(2, 2, np.array([1.0, -0.5, 1.0]))
 rep = copositive_check(q)

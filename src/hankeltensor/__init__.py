@@ -27,8 +27,6 @@ from .plane import (
     CopositivityReport,
     PlaneExtremes,
     copositive_check,
-    eval_plane,
-    phi_eval,
     z_extremes,
 )
 from .spectra import (
@@ -75,10 +73,8 @@ __all__ = [
     "from_measure",
     "CopositivityReport",
     "PlaneExtremes",
-    "phi_eval",
     "copositive_check",
     "z_extremes",
-    "eval_plane",
     "EigenPair",
     "ZBounds",
     "zeig_extreme",

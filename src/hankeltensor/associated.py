@@ -139,6 +139,11 @@ def is_strong(a, tol=1e-10):
     return StrongCertificate(ok, min_eig, completion, None if ok else vecs[:, 0])
 
 
+def _has_plane(a):
+    """Whether ``a`` has a plane: at dim 2 always, else up to the plane degree cap."""
+    return a.dim == 2 or (a.dim - 1) * a.order <= _PLANE_DEGREE_CAP
+
+
 def assoc_plane(a):
     """Associated plane tensor: p_k = s(k, m, n) * v_k / C((n-1)m, k).
 
@@ -148,16 +153,16 @@ def assoc_plane(a):
     At dim 2 every weight s(k, m, 2) / C(m, k) is 1, so ``a`` is returned
     itself, at every order.  At dim 3 and up the plane is built, and a degree
     above the capacity cap of 60 is refused; this is the one place that
-    decides which tensors have a plane.
+    decides which tensors have a plane, through ``_has_plane``.
     Counts and binomials are exact integers.  Their ratio is rounded to float
     once, by integer true division, and the product with v_k rounds once
     more: p_k carries a relative error of at most eps (1 + eps/4).
     """
+    top = (a.dim - 1) * a.order
+    if not _has_plane(a):
+        raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
     if a.dim == 2:
         return a
-    top = (a.dim - 1) * a.order
-    if top > _PLANE_DEGREE_CAP:
-        raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
     return HankelTensor(top, 2, _plane_weights(a.order, a.dim) * a.gen)
 
 

@@ -2,9 +2,10 @@
 
 An order-``m`` dimensional-``n`` Hankel tensor is determined by a generating
 vector ``v`` of length ``(n-1)*m + 1``: the entry at (1-based) index
-``(i_1, ..., i_m)`` is ``v[i_1 + ... + i_m - m]``.  Forms and gradients are
-evaluated through polynomial coefficient convolutions, which keeps the cost
-polynomial in ``m`` and ``n``.
+``(i_1, ..., i_m)`` is ``v[i_1 + ... + i_m - m]``.  Forms and gradients at
+one vector are evaluated through polynomial coefficient convolutions; forms
+at a batch of vectors through repeated contraction of the generating
+vector.  Either way the cost stays polynomial in ``m`` and ``n``.
 """
 
 from __future__ import annotations
@@ -115,24 +116,32 @@ def _power_coeffs(x, power):
     return c
 
 
-def _forms(a, xs):
-    """A x^m for every row x of ``xs``, an array of shape (N, n).
+def _contract(gen, xs, times):
+    """Contract the Hankel tensor of generating vector ``gen`` ``times`` times.
 
-    The coefficients of p(t)^m are built for all rows at once: each of the
-    m-1 multiplications by p is n shifted multiply-adds on a (deg, N)
-    array, one coefficient per row so that every update runs along
-    contiguous memory, followed by one product with the generating vector.
+    One contraction with x of a Hankel tensor of dim n is the Hankel tensor
+    of one order lower with generating vector b_j = sum_i x_i b_(i+j)
+    (Ding, Qi & Wei, NLAA 22, 2015); at n = 2 it is one homogeneous de
+    Casteljau step.  It runs for every row x of ``xs``, an (N, n) array, at
+    once and elementwise, so no row's result depends on the others.
+    Returns the (len(gen) - times*(n-1), N) array of the final vectors;
+    ``times`` is at least 1.
     """
     n = xs.shape[1]
     xt = np.ascontiguousarray(xs.T)
-    c = xt
-    for _ in range(a.order - 1):
-        deg = c.shape[0]
-        nxt = np.zeros((deg + n - 1, xs.shape[0]))
-        for i in range(n):
-            nxt[i : i + deg] += xt[i] * c
-        c = nxt
-    return a.gen @ c
+    b = gen[:, None]
+    for _ in range(times):
+        k = b.shape[0] - n + 1
+        nxt = xt[0] * b[:k]
+        for i in range(1, n):
+            nxt += xt[i] * b[i : i + k]
+        b = nxt
+    return b
+
+
+def _forms(a, xs):
+    """A x^m for every row x of ``xs``, an array of shape (N, n)."""
+    return _contract(a.gen, xs, a.order)[0]
 
 
 def eval_form(a, x):

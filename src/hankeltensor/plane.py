@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .core import _check_tol
+from .core import _check_tol, _forms
 
 
 def _plane(p):
@@ -23,11 +23,6 @@ def _plane(p):
     if p.dim != 2:
         raise ValueError(f"plane routines require dim = 2, got dim = {p.dim}")
     return p.order, p.gen
-
-
-def phi_eval(p, t):
-    """Evaluate phi(t) = P(t, 1-t); phi(0) = p_l and phi(1) = p_0 come out exactly."""
-    return eval_plane(p, t, 1.0 - t)
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ def copositive_check(p, tol=1e-10):
         values = coeffs[[-1, 0]]
     else:
         ts = np.array([0.0] + polyroots.bernstein_roots(np.diff(coeffs[::-1])) + [1.0])
-        values = eval_plane(p, ts, 1.0 - ts)
+        values = _forms(p, np.stack([ts, 1.0 - ts], axis=1))
     i = int(np.argmin(values))
     min_phi = float(values[i])
     copositive = min_phi >= -cut
@@ -71,14 +66,6 @@ class PlaneExtremes:
     y_min: np.ndarray
     lambda_max: float
     y_max: np.ndarray
-
-
-def eval_plane(p, y1, y2):
-    """Form value(s) at (y1, y2) by homogeneous de Casteljau; arguments may be arrays."""
-    y1, y2 = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-    b = _plane(p)[1].reshape((-1,) + (1,) * y1.ndim)
-    val = polyroots._value(b, y1, y2)
-    return float(val) if val.ndim == 0 else val
 
 
 def z_extremes(p):
@@ -95,6 +82,6 @@ def z_extremes(p):
     dirs = polyroots.form_directions(q)
     ys = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     ys = np.concatenate([ys, -ys])
-    vals = eval_plane(p, ys[:, 0], ys[:, 1])
+    vals = _forms(p, ys)
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
     return PlaneExtremes(float(vals[i_min]), ys[i_min], float(vals[i_max]), ys[i_max])

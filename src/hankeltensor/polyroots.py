@@ -5,7 +5,8 @@ circle extremes and the two-dimensional H-spectrum: de Casteljau halving,
 with Descartes' rule of signs on the Bernstein coefficients deciding which
 pieces can hold a root (Mourrain & Pavone, "Subdivision methods for solving
 polynomial equations", J. Symb. Comput. 44, 2009).  Nothing is converted to
-the monomial basis.
+the monomial basis.  The module only finds roots; the forms whose values the
+callers need at those roots are evaluated by ``core``.
 
 A piece that holds exactly one root hands it to Illinois regula falsi.  Each
 of its steps costs O(l) float operations, not an O(l^2) de Casteljau pass:
@@ -49,18 +50,6 @@ def _halving(l):
     left.flags.writeable = False
     right.flags.writeable = False
     return left, right
-
-
-def _value(b, y1, y2):
-    """Homogeneous de Casteljau evaluation of sum_k b_k C(l,k) y1^(l-k) y2^k.
-
-    The coefficients run along the first axis of ``b``, so ``y1`` and ``y2``
-    may be arrays that broadcast against ``b[0]``.  The segment value at t is
-    the value at (1-t, t).
-    """
-    for _ in range(b.shape[0] - 1):
-        b = y1 * b[:-1] + y2 * b[1:]
-    return b[0]
 
 
 @lru_cache(maxsize=64)

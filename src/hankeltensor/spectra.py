@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyroots
-from .associated import _PLANE_DEGREE_CAP, assoc_plane
-from .core import HankelTensor, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
+from .associated import _has_plane, assoc_plane
+from .core import HankelTensor, _contract, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
@@ -153,8 +153,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         raise ValueError("iters must be at least 1")
 
     starts = [np.eye(a.dim)[i] for i in range(a.dim)]
-    top = (a.dim - 1) * a.order
-    if a.dim == 2 or top <= _PLANE_DEGREE_CAP:
+    if _has_plane(a):
         x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
         starts.append(x_max if mode == "max" else x_min)
     rng = np.random.default_rng(seed)
@@ -243,9 +242,8 @@ def heig_dim2(a):
     top = np.argmax(np.abs(xs), axis=1)
     xs = xs / xs[i, top][:, None]
 
-    rows = np.stack([v[:-1], v[1:]], axis=1)[:, :, None]
-    grad = polyroots._value(rows, xs[:, 0], xs[:, 1])
-    scale = np.max(polyroots._value(np.abs(rows), np.abs(xs[:, 0]), np.abs(xs[:, 1])), axis=0)
+    grad = _contract(v, xs, m - 1)
+    scale = np.max(_contract(np.abs(v), np.abs(xs), m - 1), axis=0)
     lam = grad[top, i]
     residual = np.max(np.abs(grad - lam * xs.T ** (m - 1)), axis=0)
     keep = residual <= 1e-8 * np.minimum(1.0 + np.abs(lam), scale)

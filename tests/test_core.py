@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hankeltensor
 from hankeltensor import (
     DiscreteMeasure,
     HankelTensor,
@@ -244,3 +246,25 @@ def test_forms_match_eval_form_row_by_row(rng):
             bound = 2 * ((order - 1) * dim + a.gen.shape[0]) * eps
             for x, f in zip(xs, got):
                 assert abs(f - eval_form(a, x)) <= bound * eval_form(abs_a, np.abs(x))
+
+
+def test_forms_rows_do_not_depend_on_the_batch(rng):
+    # a row's value is the same bytes alone as in any batch, so a scan's minimum
+    # does not move with the chunking
+    for order in range(2, 9):
+        for dim in range(2, 6):
+            a = random_hankel(rng, order, dim)
+            xs = rng.standard_normal((257, dim))
+            got = _forms(a, xs)
+            for j in range(xs.shape[0]):
+                assert got[j].tobytes() == _forms(a, xs[j : j + 1])[0].tobytes()
+
+
+def test_all_lists_exactly_the_public_root_names():
+    bound = {
+        name
+        for name, value in vars(hankeltensor).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(hankeltensor.__all__)) == len(hankeltensor.__all__)
+    assert set(hankeltensor.__all__) == bound | {"__version__"}

@@ -13,14 +13,13 @@ from hankeltensor import (
     compose,
     copositive_check,
     eval_gradient_form,
-    eval_plane,
     from_measure,
     heig_dim2,
     is_strong,
     make_hankel,
-    phi_eval,
     z_extremes,
 )
+from hankeltensor.core import _forms
 
 
 def phi_direct(p, t):
@@ -33,6 +32,17 @@ def phi_direct(p, t):
     return float(out) if out.ndim == 0 else out
 
 
+def plane_value(p, y1, y2):
+    # the form of the dim-2 tensor p at (y1, y2) through the batch kernel; arrays of one shape allowed
+    y1, y2 = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
+    vals = _forms(p, np.stack([y1.ravel(), y2.ravel()], axis=1))
+    return float(vals[0]) if y1.ndim == 0 else vals.reshape(y1.shape)
+
+
+def phi_value(p, t):
+    return plane_value(p, t, 1.0 - t)
+
+
 def eval_plane_direct(p, y1, y2):
     l = p.order
     return sum(
@@ -43,19 +53,19 @@ def eval_plane_direct(p, y1, y2):
 class TestPhiEval:
     def test_fixed_quadratic(self):
         p = make_hankel(2, 2, [1.0, -3.0, 1.0])
-        assert phi_eval(p, 0.5) == pytest.approx(-1.0, abs=1e-14)
+        assert phi_value(p, 0.5) == pytest.approx(-1.0, abs=1e-14)
 
     def test_endpoints_exact(self):
         p = make_hankel(3, 2, [0.3, -0.7, 2.0, -1.1])
-        assert phi_eval(p, 0.0) == -1.1
-        assert phi_eval(p, 1.0) == 0.3
+        assert phi_value(p, 0.0) == -1.1
+        assert phi_value(p, 1.0) == 0.3
 
     def test_matches_direct_sum(self, rng):
         for _ in range(40):
             l = int(rng.integers(2, 11))
             p = make_hankel(l, 2, rng.uniform(-2, 2, l + 1))
             t = float(rng.uniform(0, 1))
-            assert phi_eval(p, t) == pytest.approx(phi_direct(p, t), rel=1e-12, abs=1e-12)
+            assert phi_value(p, t) == pytest.approx(phi_direct(p, t), rel=1e-12, abs=1e-12)
 
 
 class TestCopositiveCheck:
@@ -139,7 +149,8 @@ class TestCopositiveCheck:
             p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1) * 10.0 ** rng.uniform(-3, 3))
             rep = copositive_check(p)
             if not rep.is_copositive:
-                assert phi_eval(p, rep.witness_t) == rep.min_phi
+                t = rep.witness_t
+                assert _forms(p, np.array([[t, 1.0 - t]]))[0].tobytes() == np.float64(rep.min_phi).tobytes()
 
     def test_verdict_is_min_phi_against_one_cut(self, rng):
         for _ in range(300):
@@ -157,7 +168,7 @@ class TestCopositiveCheck:
         def refuse(*args):
             raise AssertionError("sweep reached")
 
-        monkeypatch.setattr(plane, "eval_plane", refuse)
+        monkeypatch.setattr(plane, "_forms", refuse)
         monkeypatch.setattr(polyroots, "bernstein_roots", refuse)
         for coeffs in ([-1.0, 5.0, 5.0, 2.0], [2.0, 5.0, -1e-7], [-3e3, 1e4, 1e3]):
             rep = copositive_check(make_hankel(len(coeffs) - 1, 2, coeffs))
@@ -180,14 +191,14 @@ class TestEvalPlane:
             l = int(rng.integers(2, 9))
             p = make_hankel(l, 2, rng.uniform(-2, 2, l + 1))
             y1, y2 = rng.uniform(-1.5, 1.5, 2)
-            assert eval_plane(p, y1, y2) == pytest.approx(
+            assert plane_value(p, y1, y2) == pytest.approx(
                 eval_plane_direct(p, y1, y2), rel=1e-11, abs=1e-11
             )
 
     def test_homogeneous(self, rng):
         p = make_hankel(4, 2, rng.uniform(-1, 1, 5))
-        v = eval_plane(p, 0.3, -0.8)
-        assert eval_plane(p, 0.6, -1.6) == pytest.approx(2.0**4 * v, rel=1e-12)
+        v = plane_value(p, 0.3, -0.8)
+        assert plane_value(p, 0.6, -1.6) == pytest.approx(2.0**4 * v, rel=1e-12)
 
 
 class TestZExtremes:
@@ -222,15 +233,15 @@ class TestZExtremes:
             l = int(rng.integers(2, 7))
             p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
             ext = z_extremes(p)
-            assert eval_plane(p, *ext.y_min) == pytest.approx(ext.lambda_min, abs=1e-10)
-            assert eval_plane(p, *ext.y_max) == pytest.approx(ext.lambda_max, abs=1e-10)
+            assert plane_value(p, *ext.y_min) == pytest.approx(ext.lambda_min, abs=1e-10)
+            assert plane_value(p, *ext.y_max) == pytest.approx(ext.lambda_max, abs=1e-10)
 
     def test_beats_dense_scan(self, rng):
         thetas = np.linspace(0.0, 2 * np.pi, 100001)
         for _ in range(15):
             l = int(rng.integers(2, 7))
             p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
-            vals = eval_plane(p, np.cos(thetas), np.sin(thetas))
+            vals = plane_value(p, np.cos(thetas), np.sin(thetas))
             ext = z_extremes(p)
             assert ext.lambda_min <= vals.min() + 1e-7
             assert ext.lambda_max >= vals.max() - 1e-7
@@ -252,7 +263,7 @@ def phi_exact(p, t):
 
 
 def grid_min(p):
-    return min(phi_eval(p, t) for t in np.linspace(0.0, 1.0, 201))
+    return min(phi_value(p, t) for t in np.linspace(0.0, 1.0, 201))
 
 
 def timed(fn, *args):
@@ -332,8 +343,6 @@ class TestPlaneIsDim2Tensor:
     ROUTINES = (
         copositive_check,
         z_extremes,
-        lambda p: eval_plane(p, 0.5, 0.25),
-        lambda p: phi_eval(p, 0.5),
     )
 
     def test_plane_routines_take_dim2_tensors_only(self):

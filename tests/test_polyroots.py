@@ -223,16 +223,6 @@ class TestScalarRefinement:
                     got = Fraction(_horner(terms, t)) * Fraction(2) ** e
                     assert abs(got - exact) <= 3 * (l + 1) * EPS * bound
 
-    def test_refinement_never_runs_de_casteljau(self, rng, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("regula falsi ran a de Casteljau pass")
-
-        monkeypatch.setattr(polyroots, "_value", refuse)
-        found = 0
-        for l in range(2, 61):
-            found += len(bernstein_roots(rng.uniform(-1, 1, l + 1)))
-        assert found > 0
-
     def test_known_simple_roots_at_degree_60(self, rng):
         # prod (t - r) times a factor with positive Bernstein coefficients, which has
         # no root in [0, 1]; the product is formed exactly and rounded once
