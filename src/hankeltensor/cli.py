@@ -256,12 +256,22 @@ def build_parser():
     p.add_argument("tensor_b")
     opt_output(p)
 
-    p = add("zeig", _cmd_zeig, "extreme Z-eigenpair estimate (shifted power iteration)")
+    p = add("zeig", _cmd_zeig, "extreme Z-eigenpair (eigh at order 2, else shifted power iteration)")
     p.add_argument("tensor")
     p.add_argument("--mode", choices=["min", "max"], required=True)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=20,
+        help="scanned starts at dim 3 and up (default 20); no effect at order 2 or dim 2",
+    )
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the scanned cloud of starts; no effect at order 2 or dim 2",
+    )
     opt_output(p)
 
     p = add("heig2", _cmd_heig2, "all H-eigenpairs of a two-dimensional tensor")

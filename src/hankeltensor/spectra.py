@@ -1,15 +1,19 @@
 """Extreme eigenvalues, bounds, and copositivity falsification.
 
-Extreme Z-eigenvalues are estimated by a shifted symmetric power iteration.
-The shift adapts to the local curvature (the gradient's Jacobian is itself a
-small Hankel matrix, so it costs one extra correlation per step) and any step
-that would lower the Rayleigh value is rejected while the shift doubles
-toward a globally sufficient cap, so every restart ascends monotonically.
-Restarts combine the coordinate directions, the associated plane tensor's
-circle extreme lifted to the unit sphere (the point where the plane bound is
-taken), and seeded random directions; this makes the plane-derived bounds
-hold against the estimates by construction.  Only the winning start is
-polished, and ``converged`` is the returned pair's residual test.
+At order 2 the extreme Z-eigenpairs are the Hankel matrix's extreme
+eigenpairs, from one ``eigh``.  Above order 2 they are estimated by a shifted
+symmetric power iteration.  The shift adapts to the local curvature (the
+gradient's Jacobian is itself a small Hankel matrix, so it costs one extra
+correlation per step) and any step that would lower the Rayleigh value is
+rejected while the shift doubles toward a globally sufficient cap, so every
+start ascends monotonically.  At dim 2 the one start is the associated plane
+tensor's certified circle extreme lifted to the unit sphere (the point where
+the plane bound is taken).  At dim 3 and up the starts are the coordinate
+directions, that lifted plane extreme where the tensor has a plane, and the
+best-valued points of one seeded cloud of unit vectors, evaluated in one
+batch; the plane start makes the plane-derived bounds hold against the
+estimates by construction.  Only the winning start is polished, and
+``converged`` is the returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification evaluates the form on the simplex grid in row
@@ -37,6 +41,7 @@ _LAMBDA_STALL_REL = 1e-12
 _RESIDUAL_OK_REL = 1e-8
 _GRID_CHUNK = 4096
 _GRID_CACHE_BYTES = 4 << 20
+_SCAN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,13 @@ def _plane_lifts(order, dim, gen_bytes):
     return lifts
 
 
+def _rayleigh(work, x):
+    """The Rayleigh value x . A x^(m-1) and the residual max |A x^(m-1) - lam x|."""
+    g = eval_gradient_form(work, x)
+    lam = float(np.dot(x, g))
+    return lam, float(np.max(np.abs(g - lam * x)))
+
+
 def _newton_polish(work, x, lam, outer_idx, steps=8):
     """Newton steps on [A x^(m-1) - lam x; (|x|^2 - 1)/2] = 0.
 
@@ -118,30 +130,36 @@ def _newton_polish(work, x, lam, outer_idx, steps=8):
         if not 1e-300 <= nrm < np.inf:
             break
         x = x / nrm
-    g = eval_gradient_form(work, x)
-    lam = float(np.dot(x, g))
-    residual = float(np.max(np.abs(g - lam * x)))
-    return x, lam, residual
+    return (x, *_rayleigh(work, x))
 
 
 def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     """Estimate the extreme Z-eigenpair of ``a``.
 
-    Shifted power iteration x <- normalize(A x^(m-1) + beta x), with beta set
-    from the smallest eigenvalue of the local Jacobian A x^(m-2) and raised
-    toward the always-sufficient cap (m-1) * sum_k s(k,m,n) |v_k| whenever a
-    step fails to increase the Rayleigh value, so the iterate value never
-    drops; a stall, or a step whose norm is zero or overflows, ends a start.
-    ``mode='min'`` runs the method on -A.
-    Deterministic starts are always included: the coordinate vectors, and
-    the lifted plane extreme of the mode when dim is 2 or the plane degree
-    (dim-1)*order is within the cap; at dim 2 above order 1023 the circle
-    extremes, and so the call, are refused by the root engine.
-    ``restarts`` seeded random starts are added.  The start of highest value
-    (the first on ties) alone gets a guarded Newton polish, and ``converged``
-    is its residual test, residual <= 1e-8 * (1 + |lambda|).  A cap sum that
-    overflows a float is refused with a ``ValueError``; with |v| <= 1 that
-    takes order 647 or more at dim 3.
+    ``mode='min'`` works on -A.  At order 2 the pair is the extreme
+    eigenpair of the Hankel matrix, from one ``eigh``.  Above order 2 it is
+    the shifted power iteration x <- normalize(A x^(m-1) + beta x), with beta
+    set from the smallest eigenvalue of the local Jacobian A x^(m-2) and
+    raised toward the always-sufficient cap (m-1) * sum_k s(k,m,n) |v_k|
+    whenever a step fails to increase the Rayleigh value, so the iterate
+    value never drops; a stall, or a step whose norm is zero or overflows,
+    ends a start.  Its starts:
+
+    - dim 2: the lifted circle extreme of the mode alone, which no other
+      start can beat; at dim 2 above order 1023 the circle extremes, and so
+      the call, are refused by the root engine.
+    - dim 3 and up: the coordinate vectors; the lifted plane extreme of the
+      mode when the plane degree (dim-1)*order is within the cap; and the
+      ``restarts`` best-valued rows (the first on ties) of one cloud of
+      max(1024, restarts) unit vectors drawn from ``seed``, evaluated in one
+      batch.
+
+    ``restarts`` and ``seed`` have no effect at order 2 or at dim 2.  The
+    start of highest value (the first on ties) alone gets a guarded Newton
+    polish.  ``converged`` is the returned pair's residual test,
+    residual <= 1e-8 * (1 + |lambda|).  A cap sum that overflows a float is
+    refused with a ``ValueError``, at order 2 too; with |v| <= 1 that takes
+    order 647 or more at dim 3.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -152,14 +170,10 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
-    starts = [np.eye(a.dim)[i] for i in range(a.dim)]
-    if _has_plane(a):
+    starts = [] if a.dim == 2 else list(np.eye(a.dim))
+    if a.order > 2 and _has_plane(a):
         x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
         starts.append(x_max if mode == "max" else x_min)
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        v = rng.standard_normal(a.dim)
-        starts.append(v / np.linalg.norm(v))
 
     scale = float(np.dot(_power_coeffs(np.ones(a.dim), a.order), np.abs(a.gen)))
     if not np.isfinite(scale):
@@ -170,6 +184,16 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     beta_pad = 1e-9 * (1.0 + scale)
     idx = np.arange(a.dim)
     outer_idx = idx[:, None] + idx[None, :]
+    if a.order == 2:
+        # a Hankel matrix, whose Z-eigenpairs are its eigenpairs
+        x = np.linalg.eigh(work.gen[outer_idx])[1][:, -1]
+        lam, residual = _rayleigh(work, x)
+        return EigenPair("Z", sign * lam, x, residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam)), residual)
+    if a.dim > 2:
+        rng = np.random.default_rng(seed)
+        cloud = rng.standard_normal((max(_SCAN_ROWS, restarts), a.dim))
+        cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
+        starts.extend(cloud[np.argsort(-_forms(work, cloud), kind="stable")[:restarts]])
 
     def local_beta(m_mat):
         low = float(np.linalg.eigvalsh(m_mat)[0])

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from hankeltensor import (
     DiscreteMeasure,
     EigenPair,
+    assoc_matrix,
     assoc_plane,
     bounds_prop6,
     bounds_prop7,
@@ -160,14 +161,51 @@ class TestZeig:
                     pair.residual, abs=1e-11
                 )
 
-    def test_matrix_case_matches_eigvalsh(self, rng):
-        for _ in range(20):
-            dim = int(rng.integers(2, 5))
-            a = random_hankel(rng, 2, dim)
-            i = np.arange(dim)
+    def test_matrix_case_matches_eigvalsh(self, monkeypatch, rng):
+        # one eigh answers at order 2, with no power step
+        def refuse(*args):
+            raise AssertionError("power step at order 2")
+
+        monkeypatch.setattr(spectra, "_grad_and_jacobian", refuse)
+        cases = [random_hankel(rng, 2, int(rng.integers(2, 5))) for _ in range(20)]
+        # associated Hankel matrices of dims 8-31, from planes of degree 2q - 2
+        for q in range(8, 32):
+            dim = 2 + q % 2
+            cases.append(assoc_matrix(random_hankel(rng, (2 * q - 2) // (dim - 1), dim)))
+            assert cases[-1].dim == q
+        for a in cases:
+            i = np.arange(a.dim)
             w = np.linalg.eigvalsh(np.asarray(a.gen)[i[:, None] + i[None, :]])
-            assert zmin(a).value == pytest.approx(w[0], abs=1e-7)
-            assert zmax(a).value == pytest.approx(w[-1], abs=1e-7)
+            lo, hi = zmin(a), zmax(a)
+            assert lo.converged and hi.converged
+            assert lo.value == pytest.approx(w[0], abs=1e-7)
+            assert hi.value == pytest.approx(w[-1], abs=1e-7)
+
+    def test_dim2_ignores_restarts_and_seed(self, rng):
+        # the lifted circle extreme is the one start, and order 2 has no start
+        for order in (2, 3, 4, 6):
+            a = random_hankel(rng, order, 2)
+            for mode in ("min", "max"):
+                want = zeig_extreme(a, mode)
+                for kw in ({"restarts": 1}, {"restarts": 50, "seed": 3}, {"seed": 12345}):
+                    got = zeig_extreme(a, mode, **kw)
+                    assert (got.value, got.converged, got.residual) == (
+                        want.value, want.converged, want.residual
+                    )
+                    assert got.vector.tobytes() == want.vector.tobytes()
+
+    def test_scanned_starts_reach_the_global_maximum(self):
+        # with four independent random starts the max mode stopped at a local
+        # maximum, 2.50974; the best rows of the sphere scan reach the global
+        # one, 2.8952984574 (restarts=20 found it too)
+        v = [
+            0.5056566392047357, -0.3294053142907003, 0.608811039436278, 0.6783075126458522,
+            0.1082633833832467, -0.6787095582946998, -0.6959766835641095, 0.3630955285490136,
+            -0.04559058181240916, 0.6992832118178847, 0.19595199344075587, -0.12031083810805976,
+            0.3243294830833814,
+        ]
+        pair = zeig_extreme(make_hankel(6, 3, v), "max", restarts=4, iters=300)
+        assert pair.value >= 2.895298 - 1e-9 * (1.0 + abs(pair.value))
 
     def test_min_below_max(self, rng):
         for _ in range(10):
