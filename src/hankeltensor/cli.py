@@ -265,7 +265,7 @@ def build_parser():
         default=20,
         help="scanned starts at dim 3 and up (default 20); no effect at order 2 or dim 2",
     )
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=int, default=500, help="power steps per start (default 500)")
     p.add_argument(
         "--seed",
         type=int,

@@ -12,8 +12,11 @@ the plane bound is taken).  At dim 3 and up the starts are the coordinate
 directions, that lifted plane extreme where the tensor has a plane, and the
 best-valued points of one seeded cloud of unit vectors, evaluated in one
 batch; the plane start makes the plane-derived bounds hold against the
-estimates by construction.  Only the winning start is polished, and
-``converged`` is the returned pair's residual test.
+estimates by construction.  The starts run in two phases: each first climbs
+only until its Rayleigh value moves by at most 1e-4 of itself per step; then
+the start of highest value alone resumes from its loop state, with the steps
+it has left, to the 1e-12 stall and a Newton polish.  ``converged`` is the
+returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification evaluates the form on the simplex grid in row
@@ -38,6 +41,7 @@ from .core import HankelTensor, _contract, _forms, _integer, _power_coeffs, eval
 from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
+_ROUGH_STALL_REL = 1e-4
 _RESIDUAL_OK_REL = 1e-8
 _GRID_CHUNK = 4096
 _GRID_CACHE_BYTES = 4 << 20
@@ -142,8 +146,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     set from the smallest eigenvalue of the local Jacobian A x^(m-2) and
     raised toward the always-sufficient cap (m-1) * sum_k s(k,m,n) |v_k|
     whenever a step fails to increase the Rayleigh value, so the iterate
-    value never drops; a stall, or a step whose norm is zero or overflows,
-    ends a start.  Its starts:
+    value never drops.  Its starts:
 
     - dim 2: the lifted circle extreme of the mode alone, which no other
       start can beat; at dim 2 above order 1023 the circle extremes, and so
@@ -155,8 +158,15 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
       batch.
 
     ``restarts`` and ``seed`` have no effect at order 2 or at dim 2.  The
-    start of highest value (the first on ties) alone gets a guarded Newton
-    polish.  ``converged`` is the returned pair's residual test,
+    iteration runs in two phases.  First every start climbs until its
+    Rayleigh value moves by at most 1e-4 * |lambda| in an accepted step.
+    Then the start of highest value (the first on ties) alone resumes from
+    its loop state (vector, gradient, Jacobian, value, shift and the steps it
+    has left) until the value moves by at most 1e-12 * (1 + |lambda|), and
+    gets a guarded Newton polish.  In either phase that stall, a step whose
+    norm is zero or overflows, or the end of ``iters`` power steps ends a
+    start for good; ``iters`` counts the steps of both phases, rejected steps
+    included.  ``converged`` is the returned pair's residual test,
     residual <= 1e-8 * (1 + |lambda|).  A cap sum that overflows a float is
     refused with a ``ValueError``, at order 2 too; with |v| <= 1 that takes
     order 647 or more at dim 3.
@@ -195,39 +205,50 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
         starts.extend(cloud[np.argsort(-_forms(work, cloud), kind="stable")[:restarts]])
 
-    def local_beta(m_mat):
-        low = float(np.linalg.eigvalsh(m_mat)[0])
-        return (a.order - 1) * max(0.0, -low) + beta_pad
+    def ascend(x, g, m_mat, lam, beta, left, rough):
+        """Power steps from a loop state until |step| <= rough * |lambda|.
+
+        Returns the loop state; ``left`` is 0 once the stall, the norm guard
+        or the budget has ended the start for good.  ``beta`` is None where
+        the shift is due from ``m_mat``, so a stopped start pays no
+        ``eigvalsh`` it does not use.
+        """
+        while left:
+            if beta is None:
+                low = float(np.linalg.eigvalsh(m_mat)[0])
+                beta = (a.order - 1) * max(0.0, -low) + beta_pad
+            left -= 1
+            y = g + beta * x
+            nrm = float(np.linalg.norm(y))
+            if not 1e-300 <= nrm < np.inf:
+                left = 0
+                break
+            x_new = y / nrm
+            g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
+            lam_new = float(np.dot(x_new, g_new))
+            if lam_new < lam - 1e-14 * (1.0 + abs(lam)) and beta < beta_cap:
+                beta = min(max(2.0 * beta, 1e-6 * (1.0 + scale)), beta_cap)
+                continue
+            step = abs(lam_new - lam)
+            x, g, m_mat, lam, beta = x_new, g_new, m_new, lam_new, None
+            if step <= _LAMBDA_STALL_REL * (1.0 + abs(lam)):
+                left = 0
+            elif step <= rough * abs(lam):
+                break
+        return x, g, m_mat, lam, beta, left
 
     best = None
-    # a step whose norm overflows ends its start (the guard below), so its
+    # a step whose norm overflows ends its start (the guard in ascend), so its
     # overflow warning is silenced, by one errstate per call, not per step
     with np.errstate(over="ignore"):
         for x0 in starts:
             x = x0 / np.linalg.norm(x0)
             g, m_mat = _grad_and_jacobian(work, x, outer_idx)
-            lam = float(np.dot(x, g))
-            beta = local_beta(m_mat)
-            for _ in range(iters):
-                y = g + beta * x
-                nrm = float(np.linalg.norm(y))
-                if not 1e-300 <= nrm < np.inf:
-                    break
-                x_new = y / nrm
-                g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
-                lam_new = float(np.dot(x_new, g_new))
-                if lam_new < lam - 1e-14 * (1.0 + abs(lam)) and beta < beta_cap:
-                    beta = min(max(2.0 * beta, 1e-6 * (1.0 + scale)), beta_cap)
-                    continue
-                x, g, m_mat = x_new, g_new, m_new
-                if abs(lam_new - lam) <= _LAMBDA_STALL_REL * (1.0 + abs(lam_new)):
-                    lam = lam_new
-                    break
-                lam = lam_new
-                beta = local_beta(m_mat)
-            if best is None or lam > best[0]:
-                best = (lam, x, g)
-    lam, x, g = best
+            state = ascend(x, g, m_mat, float(np.dot(x, g)), None, iters, _ROUGH_STALL_REL)
+            if best is None or state[3] > best[3]:  # lambda, the first on ties
+                best = state
+        # rough = 0 leaves only the stall, the norm guard and the budget
+        x, g, _, lam, _, _ = ascend(*best, 0.0)
     residual = float(np.max(np.abs(g - lam * x)))
     x_p, lam_p, residual_p = _newton_polish(work, x, lam, outer_idx)
     if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):

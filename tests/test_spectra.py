@@ -279,6 +279,77 @@ class TestZeig:
                 assert len(calls) == 1, (order, dim, mode)
                 assert pair.converged == (pair.residual <= 1e-8 * (1.0 + abs(pair.value)))
 
+    # _grad_and_jacobian calls per call at commit b210ea4, where every start
+    # ran to the 1e-12 stall: (order, dim, seed, mode) -> count
+    FULL_STALL_CALLS = {
+        (4, 4, 44, "min"): 781,
+        (4, 4, 44, "max"): 1574,
+        (3, 5, 35, "min"): 2287,
+        (3, 5, 35, "max"): 2492,
+    }
+
+    def test_losing_starts_stop_at_the_rough_stall(self, monkeypatch):
+        calls = []
+        original = spectra._grad_and_jacobian
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(spectra, "_grad_and_jacobian", counting)
+        for (order, dim, seed, mode), full in self.FULL_STALL_CALLS.items():
+            gen = np.random.default_rng(seed).uniform(-1, 1, (dim - 1) * order + 1)
+            calls.clear()
+            assert zeig_extreme(make_hankel(order, dim, gen), mode).converged
+            assert len(calls) <= 0.6 * full, (order, dim, mode, len(calls))
+
+    def test_winner_resumes_with_the_steps_it_has_left(self, monkeypatch):
+        # each start pays one evaluation at its start point and at most
+        # `iters` power steps over both phases; polish calls are not steps
+        count = [0, 0]
+        grad, polish = spectra._grad_and_jacobian, spectra._newton_polish
+
+        def counting(*args):
+            count[0] += 1
+            return grad(*args)
+
+        def polishing(*args, **kwargs):
+            before = count[0]
+            out = polish(*args, **kwargs)
+            count[1] += count[0] - before
+            return out
+
+        monkeypatch.setattr(spectra, "_grad_and_jacobian", counting)
+        monkeypatch.setattr(spectra, "_newton_polish", polishing)
+        for order, dim in ((4, 2), (4, 3), (3, 5), (5, 4)):
+            a = make_hankel(order, dim, np.linspace(-1.0, 0.5, (dim - 1) * order + 1))
+            # coordinate vectors, the plane lift and 4 scanned rows; dim 2 has one
+            starts = 1 if dim == 2 else dim + 1 + 4
+            for iters in range(1, 7):
+                for mode in ("min", "max"):
+                    count[:] = [0, 0]
+                    zeig_extreme(a, mode, restarts=4, iters=iters)
+                    steps = count[0] - count[1] - starts
+                    assert 0 <= steps <= starts * iters, (order, dim, iters, mode, steps)
+
+    def test_unique_winner_matches_the_full_stall_bytes(self):
+        # values recorded with float.hex at commit b210ea4, where every start
+        # ran to the 1e-12 stall; the winner's trajectory is unchanged
+        cases = [
+            (5, 2, 7, "min", {}, "-0x1.a17c261a37c1ap+0", "0x1.0000000000000p-51",
+             ["-0x1.d19001f2a7ec1p-1", "-0x1.aa1fe1dc24710p-2"]),
+            # one start reaches 6.7987; the next best stops at 2.9380
+            (5, 3, 5, "max", {"restarts": 1}, "0x1.b31d367098a92p+2", "0x1.0000000000000p-50",
+             ["-0x1.0bed2c7085f65p-1", "-0x1.37996421629f0p-1", "-0x1.3164cec37ec74p-1"]),
+        ]
+        for order, dim, seed, mode, kw, value, residual, vector in cases:
+            gen = np.random.default_rng(seed).uniform(-1, 1, (dim - 1) * order + 1)
+            pair = zeig_extreme(make_hankel(order, dim, gen), mode, **kw)
+            assert pair.converged
+            assert pair.value.hex() == value
+            assert pair.residual.hex() == residual
+            assert [float(x).hex() for x in pair.vector] == vector
+
     def test_dim2_high_order_reaches_the_circle_extreme(self):
         # 2^m-sized shifts overflow the power step's norm at this order; an
         # overflowing step must end its start, not zero the iterate
