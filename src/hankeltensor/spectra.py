@@ -20,10 +20,16 @@ returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification evaluates the form on the simplex grid in row
-chunks, through one batched kernel per chunk, in the order of
-``itertools.combinations``; the first grid minimum wins, so ties on the grid
-keep the earliest point.  A grid of up to 4 MB is built once per
-(dim, steps) and kept; a larger one is streamed chunk by chunk.
+chunks, in the order of ``itertools.combinations``; the first grid minimum
+wins, so ties on the grid keep the earliest point.  A grid of up to 4 MB is
+built once per (dim, steps) and kept; a larger one is streamed chunk by
+chunk.  On a kept grid the form is the associated Hankel matrix identity
+A x^m = c_lo(x)^T H c_hi(x), with c_k(x) the coefficients of p_x(t)^k,
+lo = m // 2, hi = m - lo and H = [v_(i+j)] (the associated Hankel matrix at
+even m): one small matrix product per chunk.  The power-k rows for k >= 2
+are built once per (dim, steps, k), exactly while steps^k <= 2^53, and kept
+while they take at most 4 MB; a streamed grid, or a kept one whose power
+rows would exceed 4 MB, goes through repeated contraction (``core._forms``).
 """
 
 from __future__ import annotations
@@ -384,6 +390,44 @@ def _simplex_grid(dim, steps):
     return chunks
 
 
+@lru_cache(maxsize=4)
+def _power_rows(dim, steps, power):
+    """Coefficients of p_x(t)^power for every row x of ``_simplex_grid(dim, steps)``.
+
+    Chunk by chunk, built once by row-wise convolution and read-only;
+    p_x(t) = sum_i x_i t^i.  Grid coordinates are multiples of 1/steps, so
+    every coefficient is a multiple of steps^-power, exact in float64 while
+    steps^power <= 2^53 (power 8 at 64 steps).
+    """
+    chunks = []
+    for xs in _simplex_grid(dim, steps):
+        c = xs
+        for _ in range(power - 1):
+            nxt = np.zeros((c.shape[0], c.shape[1] + dim - 1))
+            for i in range(dim):
+                nxt[:, i : i + c.shape[1]] += xs[:, i, None] * c
+            c = nxt
+        c.flags.writeable = False
+        chunks.append(c)
+    return tuple(chunks)
+
+
+def _grid_forms(a, steps):
+    """Pairs (chunk, A x^m at its rows) over the simplex grid of ``steps``, in order.
+
+    Power 1 is the grid chunk itself; see ``copositive_falsify`` for the
+    identity and for which shapes go through ``_forms`` instead.
+    """
+    n, lo, hi = a.dim, a.order // 2, a.order - a.order // 2
+    rows = math.comb(steps + n - 1, n - 1)
+    grid = _simplex_grid(n, steps) if rows * n * 8 <= _GRID_CACHE_BYTES else _simplex_chunks(n, steps)
+    if rows * (hi * (n - 1) + 1) * 8 > _GRID_CACHE_BYTES:
+        return ((xs, _forms(a, xs)) for xs in grid)
+    h = a.gen[np.arange(lo * (n - 1) + 1)[:, None] + np.arange(hi * (n - 1) + 1)]
+    lo_rows, hi_rows = (grid if k == 1 else _power_rows(n, steps, k) for k in (lo, hi))
+    return ((xs, np.einsum("ij,ij->i", c_lo @ h, c_hi)) for xs, c_lo, c_hi in zip(grid, lo_rows, hi_rows))
+
+
 def copositive_falsify(a, depth=1):
     """Search the simplex for a point with A x^m < -1e-12 * max(1, max |v|).
 
@@ -391,42 +435,50 @@ def copositive_falsify(a, depth=1):
     order of ``itertools.combinations`` of its cut positions, and keeps the
     first grid minimum.  A grid of at most 4 MB is built once per
     (dim, steps) and reused by later calls; a larger one (dim 5, or dim 4
-    at depth 2 and up) is streamed and never held whole.  The worst point
-    is then polished with 20 projected-gradient steps.  Returns the witness
-    vector or None; absence of a witness is not a copositivity certificate.
-    The cutoff grows with max |v|, as the rounding error of the form does.
+    at depth 2 and up) is streamed and never held whole.  On a held grid the
+    form is c_lo(x)^T H c_hi(x), with c_k(x) the coefficients of p_x(t)^k,
+    lo = m // 2, hi = m - lo and H = [v_(i+j)], the associated Hankel matrix
+    at even m.  The rows of c_k for k >= 2 are built once per
+    (dim, steps, k) and kept when they take at most 4 MB (orders up to 6 at
+    dim 4, depth 1).  A streamed grid, or a held one whose power rows would
+    exceed 4 MB, is scanned by repeated contraction (``_forms``).
+
+    The worst point is then polished with 20 projected-gradient steps of
+    size 1/(1 + |g|); |g| is taken by ``math.hypot`` where the plain norm
+    overflows (max |v| from about 1e154).  Returns the witness vector or
+    None; absence of a witness is not a copositivity certificate.  The
+    cutoff grows with max |v|, as the rounding error of the form does.
     """
     depth = _integer("depth", depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    steps = 64 * depth
-    rows = math.comb(steps + a.dim - 1, a.dim - 1)
-    if rows * a.dim * 8 <= _GRID_CACHE_BYTES:
-        grid = _simplex_grid(a.dim, steps)
-    else:
-        grid = _simplex_chunks(a.dim, steps)
     best_x, best_f = None, np.inf
-    for xs in grid:
-        fs = _forms(a, xs)
+    for xs, fs in _grid_forms(a, 64 * depth):
         i = int(np.argmin(fs))
         if fs[i] < best_f:
             best_x, best_f = xs[i].copy(), fs[i]
 
     x, fx = best_x, eval_form(a, best_x)
-    for _ in range(20):
-        g = a.order * eval_gradient_form(a, x)
-        eta = 1.0 / (1.0 + float(np.linalg.norm(g)))
-        improved = False
-        for _ in range(12):
-            xn = _project_simplex(x - eta * g)
-            fn = eval_form(a, xn)
-            if fn < fx:
-                x, fx = xn, fn
-                improved = True
+    # |g|^2 overflows once max |v| reaches about 1e154; such a norm is taken
+    # again by hypot, so its overflow warning is silenced, once per call
+    with np.errstate(over="ignore"):
+        for _ in range(20):
+            g = a.order * eval_gradient_form(a, x)
+            norm = float(np.linalg.norm(g))
+            if not math.isfinite(norm):
+                norm = math.hypot(*g)
+            eta = 1.0 / (1.0 + norm)
+            improved = False
+            for _ in range(12):
+                xn = _project_simplex(x - eta * g)
+                fn = eval_form(a, xn)
+                if fn < fx:
+                    x, fx = xn, fn
+                    improved = True
+                    break
+                eta *= 0.5
+            if not improved:
                 break
-            eta *= 0.5
-        if not improved:
-            break
     if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))):
         return x
     return None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hankeltensor import (
     zeig_extreme,
 )
 from hankeltensor import spectra
+from hankeltensor.core import _power_coeffs
 from hankeltensor.polyroots import form_directions
 from conftest import random_hankel, random_measure, random_positive_decomposition
 
@@ -94,20 +96,24 @@ def loop_heig_dim2(a):
 def polish(a, x):
     # the 20 projected-gradient steps that follow the scan
     fx = eval_form(a, x)
-    for _ in range(20):
-        g = a.order * eval_gradient_form(a, x)
-        eta = 1.0 / (1.0 + float(np.linalg.norm(g)))
-        improved = False
-        for _ in range(12):
-            xn = spectra._project_simplex(x - eta * g)
-            fn = eval_form(a, xn)
-            if fn < fx:
-                x, fx = xn, fn
-                improved = True
+    with np.errstate(over="ignore"):
+        for _ in range(20):
+            g = a.order * eval_gradient_form(a, x)
+            norm = float(np.linalg.norm(g))
+            if not math.isfinite(norm):
+                norm = math.hypot(*g)
+            eta = 1.0 / (1.0 + norm)
+            improved = False
+            for _ in range(12):
+                xn = spectra._project_simplex(x - eta * g)
+                fn = eval_form(a, xn)
+                if fn < fx:
+                    x, fx = xn, fn
+                    improved = True
+                    break
+                eta *= 0.5
+            if not improved:
                 break
-            eta *= 0.5
-        if not improved:
-            break
     return x if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))) else None
 
 
@@ -663,10 +669,19 @@ class TestCopositiveFalsify:
             return chunks(dim, steps)
 
         spectra._simplex_grid.cache_clear()
+        spectra._power_rows.cache_clear()
         monkeypatch.setattr(spectra, "_simplex_chunks", counting)
         copositive_falsify(random_hankel(rng, 3, 4))
         copositive_falsify(random_hankel(rng, 4, 4))
+        copositive_falsify(random_hankel(rng, 2, 4))
         assert calls == [(4, 64)]
+        # orders 3 and 4 share the power-2 rows; order 2 needs only the grid
+        info = spectra._power_rows.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        rows = spectra._power_rows(4, 64, 2)
+        assert not any(c.flags.writeable for c in rows)
+        with pytest.raises(ValueError):
+            rows[0][0, 0] = 1.0
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_cached_grid_is_read_only_and_equals_the_point_generator(self, dim):
@@ -680,9 +695,72 @@ class TestCopositiveFalsify:
     def test_grid_above_the_cap_is_streamed(self, rng):
         # the dim-5 grid at depth 1 has C(68, 4) = 814,385 rows, 32.6 MB
         assert math.comb(68, 4) * 5 * 8 > spectra._GRID_CACHE_BYTES
+        # order 7 at dim 4 would need the power-4 rows: 47,905 x 13, 5.0 MB
+        assert math.comb(67, 3) * 13 * 8 > spectra._GRID_CACHE_BYTES
         before = spectra._simplex_grid.cache_info()
+        rows_before = spectra._power_rows.cache_info()
         copositive_falsify(random_hankel(rng, 2, 5))
         assert spectra._simplex_grid.cache_info() == before
+        copositive_falsify(random_hankel(rng, 7, 4))
+        assert spectra._power_rows.cache_info() == rows_before
+
+    @pytest.mark.parametrize(
+        "order, dim, want",
+        [
+            (3, 5, "0000000000000000fc53ea40ec9fd83f03d68adf09b0e33f00000000000000000000000000000000"),
+            (7, 4, "284304956beac43f0000000000000000000000000000000037efbe1a65c5ea3f"),
+        ],
+    )
+    def test_streamed_and_over_cap_witnesses_keep_their_bytes(self, order, dim, want):
+        # bytes of the repeated-contraction scan that these shapes keep
+        gen = np.random.default_rng(10 * order + dim).uniform(-1, 1, (dim - 1) * order + 1)
+        assert copositive_falsify(make_hankel(order, dim, gen)).tobytes().hex() == want
+
+    @pytest.mark.parametrize("dim, power", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_power_rows_equal_the_power_coefficients(self, dim, power):
+        # 1/64-grid coefficients are dyadic rationals, exact in float64
+        rows = spectra._power_rows(dim, 64, power)
+        for xs, c in zip(spectra._simplex_grid(dim, 64), rows, strict=True):
+            want = np.array([_power_coeffs(x, power) for x in xs])
+            assert c.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_scan_values_match_eval_form(self, rng, order):
+        for dim in (2, 3, 4):
+            a = random_hankel(rng, order, dim)
+            eps = 4 * np.finfo(float).eps * np.max(np.abs(a.gen))
+            # one chunk of the 47,905-row dim-4 grid keeps this test short
+            for xs, fs in itertools.islice(spectra._grid_forms(a, 64), 1 if dim == 4 else None):
+                want = np.array([eval_form(a, x) for x in xs])
+                assert np.max(np.abs(fs - want)) <= eps
+
+    def test_cached_rows_stay_small(self, rng):
+        # the grids and power rows that orders 2-4 at dims 3 and 4 keep:
+        # 4.35 MB, where the copositivity benchmark peaks at about 46 MB
+        # without them, against a bound of 10%
+        caches = (spectra._simplex_grid, spectra._power_rows)
+        for cache in caches:
+            cache.cache_clear()
+        for order in (2, 3, 4):
+            for dim in (3, 4):
+                copositive_falsify(random_hankel(rng, order, dim))
+        held = [cache.cache_info() for cache in caches]
+        tables = [spectra._simplex_grid(d, 64) for d in (3, 4)] + [spectra._power_rows(d, 64, 2) for d in (3, 4)]
+        # the four tables summed are all that is held: none was built here
+        assert [cache.cache_info().misses for cache in caches] == [info.misses for info in held]
+        assert [info.currsize for info in held] == [2, 2]
+        assert sum(c.nbytes for chunks in tables for c in chunks) <= 4.5e6
+
+    def test_huge_generating_vector_polishes_without_overflow(self):
+        # |g|^2 overflows from max |v| ~ 1e154; the step size then uses hypot
+        gen = np.random.default_rng(0).uniform(-1, 1, 5)
+        values = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for s in (1.0, 1e200):
+                a = make_hankel(2, 3, s * gen)
+                values.append(eval_form(a, copositive_falsify(a)) / s)
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
 
     @pytest.mark.parametrize(
         "dim, steps",
