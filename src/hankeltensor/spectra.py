@@ -23,13 +23,13 @@ Copositivity falsification evaluates the form on the simplex grid in row
 chunks, in the order of ``itertools.combinations``; the first grid minimum
 wins, so ties on the grid keep the earliest point.  A grid of up to 4 MB is
 built once per (dim, steps) and kept; a larger one is streamed chunk by
-chunk.  On a kept grid the form is the associated Hankel matrix identity
+chunk.  Every chunk goes through the associated Hankel matrix identity
 A x^m = c_lo(x)^T H c_hi(x), with c_k(x) the coefficients of p_x(t)^k,
 lo = m // 2, hi = m - lo and H = [v_(i+j)] (the associated Hankel matrix at
 even m): one small matrix product per chunk.  The power-k rows for k >= 2
-are built once per (dim, steps, k), exactly while steps^k <= 2^53, and kept
-while they take at most 4 MB; a streamed grid, or a kept one whose power
-rows would exceed 4 MB, goes through repeated contraction (``core._forms``).
+are exact while steps^k <= 2^53.  On a kept grid they are built once per
+(dim, steps, k) and kept while they take at most 4 MB; a streamed grid, or
+a kept one whose power rows would exceed 4 MB, builds them chunk by chunk.
 """
 
 from __future__ import annotations
@@ -390,42 +390,55 @@ def _simplex_grid(dim, steps):
     return chunks
 
 
+def _power_columns(xs, power):
+    """Coefficients of p_x(t)^power, p_x(t) = sum_i x_i t^i, for every row x of ``xs``.
+
+    Entry (k, r) is the t^k coefficient of row r, built by one row-wise
+    convolution per power above 1.  Grid coordinates are multiples of
+    1/steps, so every coefficient is a multiple of steps^-power, exact in
+    float64 while steps^power <= 2^53 (power 8 at 64 steps).
+    """
+    xt = np.ascontiguousarray(xs.T)
+    c = xt
+    for _ in range(power - 1):
+        nxt = np.zeros((c.shape[0] + xt.shape[0] - 1, c.shape[1]))
+        for i in range(xt.shape[0]):
+            nxt[i : i + c.shape[0]] += xt[i] * c
+        c = nxt
+    return c
+
+
 @lru_cache(maxsize=4)
 def _power_rows(dim, steps, power):
-    """Coefficients of p_x(t)^power for every row x of ``_simplex_grid(dim, steps)``.
-
-    Chunk by chunk, built once by row-wise convolution and read-only;
-    p_x(t) = sum_i x_i t^i.  Grid coordinates are multiples of 1/steps, so
-    every coefficient is a multiple of steps^-power, exact in float64 while
-    steps^power <= 2^53 (power 8 at 64 steps).
-    """
-    chunks = []
-    for xs in _simplex_grid(dim, steps):
-        c = xs
-        for _ in range(power - 1):
-            nxt = np.zeros((c.shape[0], c.shape[1] + dim - 1))
-            for i in range(dim):
-                nxt[:, i : i + c.shape[1]] += xs[:, i, None] * c
-            c = nxt
+    """``_power_columns`` of every chunk of ``_simplex_grid(dim, steps)``, built once and read-only."""
+    chunks = tuple(_power_columns(xs, power) for xs in _simplex_grid(dim, steps))
+    for c in chunks:
         c.flags.writeable = False
-        chunks.append(c)
-    return tuple(chunks)
+    return chunks
 
 
 def _grid_forms(a, steps):
     """Pairs (chunk, A x^m at its rows) over the simplex grid of ``steps``, in order.
 
-    Power 1 is the grid chunk itself; see ``copositive_falsify`` for the
-    identity and for which shapes go through ``_forms`` instead.
+    Every chunk goes through one kernel, c_lo^T H c_hi; see
+    ``copositive_falsify`` for the identity and for which power rows are kept.
     """
     n, lo, hi = a.dim, a.order // 2, a.order - a.order // 2
     rows = math.comb(steps + n - 1, n - 1)
-    grid = _simplex_grid(n, steps) if rows * n * 8 <= _GRID_CACHE_BYTES else _simplex_chunks(n, steps)
-    if rows * (hi * (n - 1) + 1) * 8 > _GRID_CACHE_BYTES:
-        return ((xs, _forms(a, xs)) for xs in grid)
-    h = a.gen[np.arange(lo * (n - 1) + 1)[:, None] + np.arange(hi * (n - 1) + 1)]
-    lo_rows, hi_rows = (grid if k == 1 else _power_rows(n, steps, k) for k in (lo, hi))
-    return ((xs, np.einsum("ij,ij->i", c_lo @ h, c_hi)) for xs, c_lo, c_hi in zip(grid, lo_rows, hi_rows))
+    kept = rows * n * 8 <= _GRID_CACHE_BYTES
+    grid = _simplex_grid(n, steps) if kept else _simplex_chunks(n, steps)
+    ht = a.gen[np.arange(hi * (n - 1) + 1)[:, None] + np.arange(lo * (n - 1) + 1)]
+    cached = kept and rows * (hi * (n - 1) + 1) * 8 <= _GRID_CACHE_BYTES
+
+    def power(j, xs, k):
+        if k == 1:
+            return xs.T
+        return _power_rows(n, steps, k)[j] if cached else _power_columns(xs, k)
+
+    for j, xs in enumerate(grid):
+        c_lo = power(j, xs, lo)
+        c_hi = c_lo if hi == lo else power(j, xs, hi)
+        yield xs, np.einsum("ij,ij->j", ht @ c_lo, c_hi)
 
 
 def copositive_falsify(a, depth=1):
@@ -435,13 +448,13 @@ def copositive_falsify(a, depth=1):
     order of ``itertools.combinations`` of its cut positions, and keeps the
     first grid minimum.  A grid of at most 4 MB is built once per
     (dim, steps) and reused by later calls; a larger one (dim 5, or dim 4
-    at depth 2 and up) is streamed and never held whole.  On a held grid the
+    at depth 2 and up) is streamed and never held whole.  Every chunk's
     form is c_lo(x)^T H c_hi(x), with c_k(x) the coefficients of p_x(t)^k,
     lo = m // 2, hi = m - lo and H = [v_(i+j)], the associated Hankel matrix
-    at even m.  The rows of c_k for k >= 2 are built once per
-    (dim, steps, k) and kept when they take at most 4 MB (orders up to 6 at
-    dim 4, depth 1).  A streamed grid, or a held one whose power rows would
-    exceed 4 MB, is scanned by repeated contraction (``_forms``).
+    at even m.  On a held grid the rows of c_k for k >= 2 are built once
+    per (dim, steps, k) and kept when they take at most 4 MB (orders up to
+    6 at dim 4, depth 1); a streamed grid, or a held one whose power rows
+    would exceed 4 MB, builds them for each chunk as the scan reaches it.
 
     The worst point is then polished with 20 projected-gradient steps of
     size 1/(1 + |g|); |g| is taken by ``math.hypot`` where the plain norm
@@ -459,26 +472,26 @@ def copositive_falsify(a, depth=1):
             best_x, best_f = xs[i].copy(), fs[i]
 
     x, fx = best_x, eval_form(a, best_x)
-    # |g|^2 overflows once max |v| reaches about 1e154; such a norm is taken
-    # again by hypot, so its overflow warning is silenced, once per call
-    with np.errstate(over="ignore"):
-        for _ in range(20):
-            g = a.order * eval_gradient_form(a, x)
+    for _ in range(20):
+        g = a.order * eval_gradient_form(a, x)
+        # |g|^2 overflows once max |v| reaches about 1e154; such a norm is
+        # taken again by hypot, so only its overflow warning is silenced
+        with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(g))
-            if not math.isfinite(norm):
-                norm = math.hypot(*g)
-            eta = 1.0 / (1.0 + norm)
-            improved = False
-            for _ in range(12):
-                xn = _project_simplex(x - eta * g)
-                fn = eval_form(a, xn)
-                if fn < fx:
-                    x, fx = xn, fn
-                    improved = True
-                    break
-                eta *= 0.5
-            if not improved:
+        if not math.isfinite(norm):
+            norm = math.hypot(*g)
+        eta = 1.0 / (1.0 + norm)
+        improved = False
+        for _ in range(12):
+            xn = _project_simplex(x - eta * g)
+            fn = eval_form(a, xn)
+            if fn < fx:
+                x, fx = xn, fn
+                improved = True
                 break
+            eta *= 0.5
+        if not improved:
+            break
     if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))):
         return x
     return None

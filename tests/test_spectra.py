@@ -96,24 +96,24 @@ def loop_heig_dim2(a):
 def polish(a, x):
     # the 20 projected-gradient steps that follow the scan
     fx = eval_form(a, x)
-    with np.errstate(over="ignore"):
-        for _ in range(20):
-            g = a.order * eval_gradient_form(a, x)
+    for _ in range(20):
+        g = a.order * eval_gradient_form(a, x)
+        with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(g))
-            if not math.isfinite(norm):
-                norm = math.hypot(*g)
-            eta = 1.0 / (1.0 + norm)
-            improved = False
-            for _ in range(12):
-                xn = spectra._project_simplex(x - eta * g)
-                fn = eval_form(a, xn)
-                if fn < fx:
-                    x, fx = xn, fn
-                    improved = True
-                    break
-                eta *= 0.5
-            if not improved:
+        if not math.isfinite(norm):
+            norm = math.hypot(*g)
+        eta = 1.0 / (1.0 + norm)
+        improved = False
+        for _ in range(12):
+            xn = spectra._project_simplex(x - eta * g)
+            fn = eval_form(a, xn)
+            if fn < fx:
+                x, fx = xn, fn
+                improved = True
                 break
+            eta *= 0.5
+        if not improved:
+            break
     return x if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))) else None
 
 
@@ -699,7 +699,8 @@ class TestCopositiveFalsify:
         assert math.comb(67, 3) * 13 * 8 > spectra._GRID_CACHE_BYTES
         before = spectra._simplex_grid.cache_info()
         rows_before = spectra._power_rows.cache_info()
-        copositive_falsify(random_hankel(rng, 2, 5))
+        # both build their power rows chunk by chunk and keep none
+        copositive_falsify(random_hankel(rng, 3, 5))
         assert spectra._simplex_grid.cache_info() == before
         copositive_falsify(random_hankel(rng, 7, 4))
         assert spectra._power_rows.cache_info() == rows_before
@@ -712,7 +713,8 @@ class TestCopositiveFalsify:
         ],
     )
     def test_streamed_and_over_cap_witnesses_keep_their_bytes(self, order, dim, want):
-        # bytes of the repeated-contraction scan that these shapes keep
+        # bytes recorded from the repeated-contraction scan that these shapes
+        # ran before their power rows were built chunk by chunk
         gen = np.random.default_rng(10 * order + dim).uniform(-1, 1, (dim - 1) * order + 1)
         assert copositive_falsify(make_hankel(order, dim, gen)).tobytes().hex() == want
 
@@ -722,7 +724,14 @@ class TestCopositiveFalsify:
         rows = spectra._power_rows(dim, 64, power)
         for xs, c in zip(spectra._simplex_grid(dim, 64), rows, strict=True):
             want = np.array([_power_coeffs(x, power) for x in xs])
-            assert c.tobytes() == want.tobytes()
+            assert c.T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim, steps, power", [(5, 64, 2), (4, 64, 4), (3, 128, 7)])
+    def test_per_chunk_power_columns_are_exact(self, dim, steps, power):
+        # streamed or over-cap shapes build their rows chunk by chunk
+        xs = next(spectra._simplex_chunks(dim, steps))
+        want = np.array([_power_coeffs(x, power) for x in xs])
+        assert spectra._power_columns(xs, power).T.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", range(2, 7))
     def test_scan_values_match_eval_form(self, rng, order):
