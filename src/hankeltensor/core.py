@@ -38,6 +38,20 @@ def _as_finite_vector(x, name):
     return arr
 
 
+def _no_overflow(what, compute):
+    """``compute()`` on finite operands, refused with a ``ValueError`` if it overflows.
+
+    From finite operands a non-finite entry can only come from an overflow
+    (inf - inf is the NaN), so numpy's warnings are silenced and the result
+    is checked once.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} overflows the float range")
+    return out
+
+
 def _frozen_vector(x, name):
     """Validated, read-only copy of ``x`` for an immutable array field."""
     arr = _as_finite_vector(x, name).copy()
@@ -169,4 +183,5 @@ def hadamard(a, b):
     """Hadamard (entrywise) product; generating vectors multiply componentwise."""
     if a.order != b.order or a.dim != b.dim:
         raise ValueError("operands must share order and dim")
-    return HankelTensor(a.order, a.dim, np.asarray(a.gen) * np.asarray(b.gen))
+    gen = _no_overflow("the Hadamard product", lambda: np.asarray(a.gen) * np.asarray(b.gen))
+    return HankelTensor(a.order, a.dim, gen)

@@ -12,11 +12,10 @@ the plane bound is taken).  At dim 3 and up the starts are the coordinate
 directions, that lifted plane extreme where the tensor has a plane, and the
 best-valued points of one seeded cloud of unit vectors, evaluated in one
 batch; the plane start makes the plane-derived bounds hold against the
-estimates by construction.  The starts run in two phases: each first climbs
-only until its Rayleigh value moves by at most 1e-4 of itself per step; then
-the start of highest value alone resumes from its loop state, with the steps
-it has left, to the 1e-12 stall and a Newton polish.  ``converged`` is the
-returned pair's residual test.
+estimates by construction.  Each start climbs once, until its Rayleigh value
+moves by at most max(1e-4 |lambda|, 1e-12 (1 + |lambda|)) in a step; the
+start of highest value alone then gets a Newton polish, which finishes the
+climb at quadratic rate.  ``converged`` is the returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification evaluates the form on the simplex grid in row
@@ -49,6 +48,7 @@ from .plane import z_extremes
 _LAMBDA_STALL_REL = 1e-12
 _ROUGH_STALL_REL = 1e-4
 _RESIDUAL_OK_REL = 1e-8
+_NEWTON_STEPS = 8
 _GRID_CHUNK = 4096
 _GRID_CACHE_BYTES = 4 << 20
 _SCAN_ROWS = 1024
@@ -110,16 +110,16 @@ def _rayleigh(work, x):
     return lam, float(np.max(np.abs(g - lam * x)))
 
 
-def _newton_polish(work, x, lam, outer_idx, steps=8):
+def _newton_polish(work, x, lam, outer_idx):
     """Newton steps on [A x^(m-1) - lam x; (|x|^2 - 1)/2] = 0.
 
     The power iteration's Rayleigh values converge fast but the vector can
-    creep when the eigen-gap is small; a few Newton steps land on the nearby
-    stationary point at quadratic rate.
+    creep when the eigen-gap is small; up to eight Newton steps land on the
+    nearby stationary point at quadratic rate.
     """
     n = work.dim
     eye = np.eye(n)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         g, m_mat = _grad_and_jacobian(work, x, outer_idx)
         f = np.concatenate([g - lam * x, [0.5 * (float(x @ x) - 1.0)]])
         if float(np.max(np.abs(f))) <= 1e-15 * (1.0 + abs(lam)):
@@ -163,19 +163,17 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
       max(1024, restarts) unit vectors drawn from ``seed``, evaluated in one
       batch.
 
-    ``restarts`` and ``seed`` have no effect at order 2 or at dim 2.  The
-    iteration runs in two phases.  First every start climbs until its
-    Rayleigh value moves by at most 1e-4 * |lambda| in an accepted step.
-    Then the start of highest value (the first on ties) alone resumes from
-    its loop state (vector, gradient, Jacobian, value, shift and the steps it
-    has left) until the value moves by at most 1e-12 * (1 + |lambda|), and
-    gets a guarded Newton polish.  In either phase that stall, a step whose
-    norm is zero or overflows, or the end of ``iters`` power steps ends a
-    start for good; ``iters`` counts the steps of both phases, rejected steps
-    included.  ``converged`` is the returned pair's residual test,
-    residual <= 1e-8 * (1 + |lambda|).  A cap sum that overflows a float is
-    refused with a ``ValueError``, at order 2 too; with |v| <= 1 that takes
-    order 647 or more at dim 3.
+    ``restarts`` and ``seed`` have no effect at order 2 or at dim 2.  Each
+    start climbs once: it stops at the first accepted step whose value moves
+    by at most max(1e-4 * |lambda|, 1e-12 * (1 + |lambda|)), at a step whose
+    norm is zero or overflows, or after ``iters`` power steps per start,
+    rejected steps included.  The start of highest value (the first on ties)
+    alone then gets a guarded Newton polish, kept when it lowers the residual
+    without lowering the value by more than 1e-9 * (1 + |lambda|); the polish
+    finishes the climb from where the start stopped.  ``converged`` is the
+    returned pair's residual test, residual <= 1e-8 * (1 + |lambda|).  A cap
+    sum that overflows a float is refused with a ``ValueError``, at order 2
+    too; with |v| <= 1 that takes order 647 or more at dim 3.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -211,23 +209,24 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
         starts.extend(cloud[np.argsort(-_forms(work, cloud), kind="stable")[:restarts]])
 
-    def ascend(x, g, m_mat, lam, beta, left, rough):
-        """Power steps from a loop state until |step| <= rough * |lambda|.
+    def ascend(x):
+        """Power steps from ``x`` until |step| <= max(1e-4 |lambda|, 1e-12 (1 + |lambda|)).
 
-        Returns the loop state; ``left`` is 0 once the stall, the norm guard
-        or the budget has ended the start for good.  ``beta`` is None where
-        the shift is due from ``m_mat``, so a stopped start pays no
-        ``eigvalsh`` it does not use.
+        A step whose norm is zero or overflows, or the end of ``iters``
+        steps, also ends the start.  Returns (lambda, x, A x^(m-1)).
+        ``beta`` is None where the shift is due from ``m_mat``, so a start
+        that stops pays no ``eigvalsh`` it does not use.
         """
-        while left:
+        x = x / np.linalg.norm(x)
+        g, m_mat = _grad_and_jacobian(work, x, outer_idx)
+        lam, beta = float(np.dot(x, g)), None
+        for _ in range(iters):
             if beta is None:
                 low = float(np.linalg.eigvalsh(m_mat)[0])
                 beta = (a.order - 1) * max(0.0, -low) + beta_pad
-            left -= 1
             y = g + beta * x
             nrm = float(np.linalg.norm(y))
             if not 1e-300 <= nrm < np.inf:
-                left = 0
                 break
             x_new = y / nrm
             g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
@@ -237,24 +236,15 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
                 continue
             step = abs(lam_new - lam)
             x, g, m_mat, lam, beta = x_new, g_new, m_new, lam_new, None
-            if step <= _LAMBDA_STALL_REL * (1.0 + abs(lam)):
-                left = 0
-            elif step <= rough * abs(lam):
+            if step <= max(_ROUGH_STALL_REL * abs(lam), _LAMBDA_STALL_REL * (1.0 + abs(lam))):
                 break
-        return x, g, m_mat, lam, beta, left
+        return lam, x, g
 
-    best = None
     # a step whose norm overflows ends its start (the guard in ascend), so its
-    # overflow warning is silenced, by one errstate per call, not per step
+    # overflow warning is silenced, by one errstate per call, not per step;
+    # max keeps the first start of highest lambda
     with np.errstate(over="ignore"):
-        for x0 in starts:
-            x = x0 / np.linalg.norm(x0)
-            g, m_mat = _grad_and_jacobian(work, x, outer_idx)
-            state = ascend(x, g, m_mat, float(np.dot(x, g)), None, iters, _ROUGH_STALL_REL)
-            if best is None or state[3] > best[3]:  # lambda, the first on ties
-                best = state
-        # rough = 0 leaves only the stall, the norm guard and the budget
-        x, g, _, lam, _, _ = ascend(*best, 0.0)
+        lam, x, g = max((ascend(x0) for x0 in starts), key=lambda r: r[0])
     residual = float(np.max(np.abs(g - lam * x)))
     x_p, lam_p, residual_p = _newton_polish(work, x, lam, outer_idx)
     if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):
@@ -458,9 +448,11 @@ def copositive_falsify(a, depth=1):
 
     The worst point is then polished with 20 projected-gradient steps of
     size 1/(1 + |g|); |g| is taken by ``math.hypot`` where the plain norm
-    overflows (max |v| from about 1e154).  Returns the witness vector or
-    None; absence of a witness is not a copositivity certificate.  The
-    cutoff grows with max |v|, as the rounding error of the form does.
+    overflows (max |v| from about 1e154), and the polish ends where g itself
+    overflows (max |v| near 1e308), keeping the best point so far.  Returns
+    the witness vector or None; absence of a witness is not a copositivity
+    certificate.  The cutoff grows with max |v|, as the rounding error of the
+    form does.
     """
     depth = _integer("depth", depth)
     if depth < 1:
@@ -473,13 +465,16 @@ def copositive_falsify(a, depth=1):
 
     x, fx = best_x, eval_form(a, best_x)
     for _ in range(20):
-        g = a.order * eval_gradient_form(a, x)
-        # |g|^2 overflows once max |v| reaches about 1e154; such a norm is
-        # taken again by hypot, so only its overflow warning is silenced
+        # |g|^2 overflows once max |v| reaches about 1e154, and such a norm is
+        # taken again by hypot; g itself can overflow near max |v| ~ 1e308,
+        # and a norm that hypot cannot take either ends the polish
         with np.errstate(over="ignore"):
+            g = a.order * eval_gradient_form(a, x)
             norm = float(np.linalg.norm(g))
         if not math.isfinite(norm):
             norm = math.hypot(*g)
+            if not math.isfinite(norm):
+                break
         eta = 1.0 / (1.0 + norm)
         improved = False
         for _ in range(12):

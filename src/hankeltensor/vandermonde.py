@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HankelTensor, _as_finite_vector, _frozen_vector
+from .core import HankelTensor, _as_finite_vector, _frozen_vector, _no_overflow
 from .errors import NumericalError
 
 _NODE_MERGE_REL = 1e-12
@@ -126,8 +126,10 @@ def decompose(a, nodes=None):
             raise ValueError(f"nodes has length {nodes.shape[0]}, expected (dim-1)*order+1 = {r}")
         _check_distinct(nodes, "nodes")
 
-    alpha = _moment_solve(nodes, a.gen)
-    residual = float(np.linalg.norm(_power_matrix(nodes, r - 1) @ alpha - a.gen))
+    # an overflowing solve leaves a residual of inf or NaN, which the gate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _moment_solve(nodes, a.gen)
+        residual = float(np.linalg.norm(_power_matrix(nodes, r - 1) @ alpha - a.gen))
     limit = _RESIDUAL_REL * float(np.linalg.norm(a.gen))
     if not residual <= limit:
         raise NumericalError(
@@ -140,7 +142,7 @@ def decompose(a, nodes=None):
 
 def compose(d, order, dim):
     """Hankel tensor generated by v_i = sum_k alpha_k u_k^i."""
-    gen = _power_matrix(d.nodes, (dim - 1) * order) @ d.coeffs
+    gen = _no_overflow("the generating vector", lambda: _power_matrix(d.nodes, (dim - 1) * order) @ d.coeffs)
     return HankelTensor(order, dim, gen)
 
 
@@ -157,8 +159,10 @@ def hadamard_vd(d1, d2):
     smallest node with its coefficients summed left to right.  Coefficients
     below 1e-12 of the largest are then dropped, as in ``decompose``.
     """
-    prod_nodes = (np.asarray(d1.nodes)[:, None] * np.asarray(d2.nodes)[None, :]).ravel()
-    prod_coeffs = (np.asarray(d1.coeffs)[:, None] * np.asarray(d2.coeffs)[None, :]).ravel()
+    prod_nodes = _no_overflow("the product of the nodes", lambda: np.outer(d1.nodes, d2.nodes).ravel())
+    prod_coeffs = _no_overflow(
+        "the product of the coefficients", lambda: np.outer(d1.coeffs, d2.coeffs).ravel()
+    )
 
     order = np.argsort(prod_nodes)
     s = prod_nodes[order]
@@ -171,5 +175,7 @@ def hadamard_vd(d1, d2):
 
 def from_measure(mu, order, dim):
     """Hankel tensor whose generating vector is the measure's moment sequence."""
-    gen = _power_matrix(mu.nodes, (dim - 1) * order) @ mu.weights
+    gen = _no_overflow(
+        "the generating vector", lambda: _power_matrix(mu.nodes, (dim - 1) * order) @ mu.weights
+    )
     return HankelTensor(order, dim, gen)

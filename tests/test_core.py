@@ -195,6 +195,12 @@ def test_hadamard_algebra(rng):
         hadamard(a, random_hankel(rng, 2, 3))
 
 
+def test_hadamard_overflow_is_refused():
+    a = make_hankel(2, 2, [1e200, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^the Hadamard product overflows the float range$"):
+        hadamard(a, a)
+
+
 def test_to_dense_matrix_case():
     m = make_hankel(2, 2, [0.0, 1.0, 2.0])
     assert_allclose(to_dense(m).entries, [0.0, 1.0, 1.0, 2.0], atol=0)

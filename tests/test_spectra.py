@@ -97,11 +97,13 @@ def polish(a, x):
     # the 20 projected-gradient steps that follow the scan
     fx = eval_form(a, x)
     for _ in range(20):
-        g = a.order * eval_gradient_form(a, x)
         with np.errstate(over="ignore"):
+            g = a.order * eval_gradient_form(a, x)
             norm = float(np.linalg.norm(g))
         if not math.isfinite(norm):
             norm = math.hypot(*g)
+            if not math.isfinite(norm):
+                break
         eta = 1.0 / (1.0 + norm)
         improved = False
         for _ in range(12):
@@ -294,7 +296,9 @@ class TestZeig:
         (3, 5, 35, "max"): 2492,
     }
 
-    def test_losing_starts_stop_at_the_rough_stall(self, monkeypatch):
+    def test_every_start_stops_at_the_rough_stall(self, monkeypatch):
+        # every start, the winner included, stops once its value moves by at
+        # most 1e-4 of itself; the Newton polish finishes the winner
         calls = []
         original = spectra._grad_and_jacobian
 
@@ -309,9 +313,9 @@ class TestZeig:
             assert zeig_extreme(make_hankel(order, dim, gen), mode).converged
             assert len(calls) <= 0.6 * full, (order, dim, mode, len(calls))
 
-    def test_winner_resumes_with_the_steps_it_has_left(self, monkeypatch):
+    def test_each_start_takes_at_most_iters_steps(self, monkeypatch):
         # each start pays one evaluation at its start point and at most
-        # `iters` power steps over both phases; polish calls are not steps
+        # `iters` power steps of its own; polish calls are not steps
         count = [0, 0]
         grad, polish = spectra._grad_and_jacobian, spectra._newton_polish
 
@@ -340,7 +344,8 @@ class TestZeig:
 
     def test_unique_winner_matches_the_full_stall_bytes(self):
         # values recorded with float.hex at commit b210ea4, where every start
-        # ran to the 1e-12 stall; the winner's trajectory is unchanged
+        # ran to the 1e-12 stall; the Newton polish reaches the same bytes
+        # from where the winner now stops
         cases = [
             (5, 2, 7, "min", {}, "-0x1.a17c261a37c1ap+0", "0x1.0000000000000p-51",
              ["-0x1.d19001f2a7ec1p-1", "-0x1.aa1fe1dc24710p-2"]),
@@ -761,15 +766,17 @@ class TestCopositiveFalsify:
         assert sum(c.nbytes for chunks in tables for c in chunks) <= 4.5e6
 
     def test_huge_generating_vector_polishes_without_overflow(self):
-        # |g|^2 overflows from max |v| ~ 1e154; the step size then uses hypot
+        # |g|^2 overflows from max |v| ~ 1e154; the step size then uses hypot.
+        # At 1e308, g itself overflows: the polish ends at the grid's witness
         gen = np.random.default_rng(0).uniform(-1, 1, 5)
         values = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for s in (1.0, 1e200):
+            for s in (1.0, 1e200, 1e308):
                 a = make_hankel(2, 3, s * gen)
                 values.append(eval_form(a, copositive_falsify(a)) / s)
         assert values[1] == pytest.approx(values[0], rel=1e-12)
+        assert values[2] < 0
 
     @pytest.mark.parametrize(
         "dim, steps",

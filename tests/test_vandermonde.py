@@ -62,6 +62,13 @@ class TestCompose:
         a = compose(VandermondeDecomposition([0.0], [3.0]), 2, 2)
         assert_allclose(a.gen, [3.0, 0.0, 0.0], atol=0)
 
+    def test_overflow_is_refused(self):
+        # 1e10^40 overflows in the power; at odd powers of ±1e10, inf - inf is a NaN
+        for nodes, coeffs in (([1e10, 0.5], [1.0, 1.0]), ([1e10, -1e10], [1.0, 1.0])):
+            d = VandermondeDecomposition(nodes, coeffs)
+            with pytest.raises(ValueError, match="^the generating vector overflows the float range$"):
+                compose(d, 40, 2)
+
 
 class TestDecompose:
     def test_recovers_planted_nodes(self):
@@ -126,7 +133,7 @@ class TestDecompose:
     def test_overflowing_solve_raises(self):
         # the solve overflows, so the residual is NaN: the gate must still trip
         a = make_hankel(30, 2, np.ones(31))
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError):
             decompose(a, nodes=np.arange(31) * 2e-12)
 
 
@@ -232,6 +239,13 @@ class TestHadamardVd:
         a = compose(d, 3, 2)
         assert_allclose(compose(z, 3, 2).gen, hadamard(a, a).gen, rtol=1e-12, atol=0)
 
+    def test_overflowing_products_are_refused(self):
+        big = VandermondeDecomposition([1e200], [1e200])
+        with pytest.raises(ValueError, match="^the product of the nodes overflows the float range$"):
+            hadamard_vd(big, big)
+        with pytest.raises(ValueError, match="^the product of the coefficients overflows the float range$"):
+            hadamard_vd(VandermondeDecomposition([1.0], [1e200]), big)
+
     def test_cancelling_products_drop_out(self):
         x = VandermondeDecomposition([1.0, -1.0], [1.0, 1.0])
         y = VandermondeDecomposition([1.0, -1.0], [1.0, -1.0])
@@ -263,6 +277,10 @@ class TestFromMeasure:
         assert_allclose(
             from_measure(m, 3, 3).gen, compose(d, 3, 3).gen, atol=0
         )
+
+    def test_overflow_is_refused(self):
+        with pytest.raises(ValueError, match="^the generating vector overflows the float range$"):
+            from_measure(DiscreteMeasure([1e10, 0.5], [1.0, 1.0]), 40, 2)
 
     def test_empty_measure_is_zero_tensor(self):
         for order, dim in [(2, 3), (3, 2), (4, 4)]:
