@@ -285,7 +285,7 @@ def build_parser():
 
     p = add("falsify", _cmd_falsify, "search the simplex for a negative form value; exits 1 on a witness")
     p.add_argument("tensor")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=int, default=1, help="node budget: at most 4096*depth sub-simplices")
     opt_output(p)
 
     add("paper-examples", _cmd_paper_examples, "re-run the canonical worked examples and report pass/fail")

@@ -18,23 +18,14 @@ start of highest value alone then gets a Newton polish, which finishes the
 climb at quadratic rate.  ``converged`` is the returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
-Copositivity falsification evaluates the form on the simplex grid in row
-chunks, in the order of ``itertools.combinations``; the first grid minimum
-wins, so ties on the grid keep the earliest point.  A grid of up to 4 MB is
-built once per (dim, steps) and kept; a larger one is streamed chunk by
-chunk.  Every chunk goes through the associated Hankel matrix identity
-A x^m = c_lo(x)^T H c_hi(x), with c_k(x) the coefficients of p_x(t)^k,
-lo = m // 2, hi = m - lo and H = [v_(i+j)] (the associated Hankel matrix at
-even m): one small matrix product per chunk.  The power-k rows for k >= 2
-are exact while steps^k <= 2^53.  On a kept grid they are built once per
-(dim, steps, k) and kept while they take at most 4 MB; a streamed grid, or
-a kept one whose power rows would exceed 4 MB, builds them chunk by chunk.
+Copositivity falsification bisects the standard simplex, on which the
+form's Bernstein net is the generating vector itself, and stops at the
+first sub-simplex vertex where the form is negative.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,8 +40,6 @@ _LAMBDA_STALL_REL = 1e-12
 _ROUGH_STALL_REL = 1e-4
 _RESIDUAL_OK_REL = 1e-8
 _NEWTON_STEPS = 8
-_GRID_CHUNK = 4096
-_GRID_CACHE_BYTES = 4 << 20
 _SCAN_ROWS = 1024
 
 
@@ -342,151 +331,82 @@ def odd_sign_check(pair, cls, order):
     return True
 
 
-def _project_simplex(x):
-    """Euclidean projection onto the standard simplex."""
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.shape[0] + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
+@lru_cache(maxsize=8)
+def _subdivision_tables(order, dim):
+    """Multi-index tables for Bernstein nets of degree ``order`` on a simplex of ``dim`` vertices.
 
-
-def _simplex_chunks(dim, steps):
-    """The barycentric grid with denominator ``steps``, in row chunks.
-
-    Rows follow ``itertools.combinations`` of the dim-1 cut positions among
-    steps+dim-1 slots; the parts are the gaps between consecutive cuts.
+    Returns ``(alpha, shift)``: the rows of ``alpha`` are the N multi-indices
+    |alpha| = order, and ``shift[i, j, r]`` is the row of
+    alpha_r - e_j + e_i (r itself where alpha_r has no j part).  Bisecting
+    edge (i, j) at 1/2 and putting the midpoint in place of vertex j gives
+    the child net c_alpha = sum_k C(alpha_j, k) 2^-alpha_j b_beta, beta being
+    alpha with alpha_j -> k and alpha_i -> alpha_i + alpha_j - k.  It is
+    built by de Casteljau in place: step s = 1..order replaces b_alpha by
+    (b_alpha + b_(alpha - e_j + e_i)) / 2 wherever alpha_j >= s.  The
+    tables take O(dim^2 N) entries and a step O(N) per sub-simplex.
     """
-    cuts = itertools.combinations(range(steps + dim - 1), dim - 1)
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(cuts, _GRID_CHUNK))
-        block = np.fromiter(flat, dtype=np.intp).reshape(-1, dim - 1)
-        if block.shape[0] == 0:
-            return
-        # sentinel cuts one slot before the first and one past the last
-        ends = np.full((block.shape[0], 1), -1)
-        parts = np.diff(np.hstack([ends, block, ends + steps + dim]), axis=1) - 1
-        yield parts / steps
-
-
-@lru_cache(maxsize=4)
-def _simplex_grid(dim, steps):
-    """The chunks of ``_simplex_chunks(dim, steps)``, built once and read-only."""
-    chunks = tuple(_simplex_chunks(dim, steps))
-    for xs in chunks:
-        xs.flags.writeable = False
-    return chunks
-
-
-def _power_columns(xs, power):
-    """Coefficients of p_x(t)^power, p_x(t) = sum_i x_i t^i, for every row x of ``xs``.
-
-    Entry (k, r) is the t^k coefficient of row r, built by one row-wise
-    convolution per power above 1.  Grid coordinates are multiples of
-    1/steps, so every coefficient is a multiple of steps^-power, exact in
-    float64 while steps^power <= 2^53 (power 8 at 64 steps).
-    """
-    xt = np.ascontiguousarray(xs.T)
-    c = xt
-    for _ in range(power - 1):
-        nxt = np.zeros((c.shape[0] + xt.shape[0] - 1, c.shape[1]))
-        for i in range(xt.shape[0]):
-            nxt[i : i + c.shape[0]] += xt[i] * c
-        c = nxt
-    return c
-
-
-@lru_cache(maxsize=4)
-def _power_rows(dim, steps, power):
-    """``_power_columns`` of every chunk of ``_simplex_grid(dim, steps)``, built once and read-only."""
-    chunks = tuple(_power_columns(xs, power) for xs in _simplex_grid(dim, steps))
-    for c in chunks:
-        c.flags.writeable = False
-    return chunks
-
-
-def _grid_forms(a, steps):
-    """Pairs (chunk, A x^m at its rows) over the simplex grid of ``steps``, in order.
-
-    Every chunk goes through one kernel, c_lo^T H c_hi; see
-    ``copositive_falsify`` for the identity and for which power rows are kept.
-    """
-    n, lo, hi = a.dim, a.order // 2, a.order - a.order // 2
-    rows = math.comb(steps + n - 1, n - 1)
-    kept = rows * n * 8 <= _GRID_CACHE_BYTES
-    grid = _simplex_grid(n, steps) if kept else _simplex_chunks(n, steps)
-    ht = a.gen[np.arange(hi * (n - 1) + 1)[:, None] + np.arange(lo * (n - 1) + 1)]
-    cached = kept and rows * (hi * (n - 1) + 1) * 8 <= _GRID_CACHE_BYTES
-
-    def power(j, xs, k):
-        if k == 1:
-            return xs.T
-        return _power_rows(n, steps, k)[j] if cached else _power_columns(xs, k)
-
-    for j, xs in enumerate(grid):
-        c_lo = power(j, xs, lo)
-        c_hi = c_lo if hi == lo else power(j, xs, hi)
-        yield xs, np.einsum("ij,ij->j", ht @ c_lo, c_hi)
+    alpha = np.array(
+        [np.bincount(c, minlength=dim) for c in itertools.combinations_with_replacement(range(dim), order)]
+    )
+    rank = {r: k for k, r in enumerate(map(tuple, alpha.tolist()))}
+    shift = np.empty((dim, dim, alpha.shape[0]), dtype=np.intp)
+    for i, j in itertools.product(range(dim), repeat=2):
+        beta = alpha.copy()
+        beta[:, i] += 1
+        beta[:, j] -= 1
+        shift[i, j] = [rank.get(r, k) for k, r in enumerate(map(tuple, beta.tolist()))]
+    for t in (alpha, shift):
+        t.flags.writeable = False
+    return alpha, shift
 
 
 def copositive_falsify(a, depth=1):
-    """Search the simplex for a point with A x^m < -1e-12 * max(1, max |v|).
+    """Search the simplex for a point with A x^m < -cut, cut = 1e-12 * max(1, max |v|).
 
-    Scans the barycentric grid of step 1/(64*depth) in row chunks, in the
-    order of ``itertools.combinations`` of its cut positions, and keeps the
-    first grid minimum.  A grid of at most 4 MB is built once per
-    (dim, steps) and reused by later calls; a larger one (dim 5, or dim 4
-    at depth 2 and up) is streamed and never held whole.  Every chunk's
-    form is c_lo(x)^T H c_hi(x), with c_k(x) the coefficients of p_x(t)^k,
-    lo = m // 2, hi = m - lo and H = [v_(i+j)], the associated Hankel matrix
-    at even m.  On a held grid the rows of c_k for k >= 2 are built once
-    per (dim, steps, k) and kept when they take at most 4 MB (orders up to
-    6 at dim 4, depth 1); a streamed grid, or a held one whose power rows
-    would exceed 4 MB, builds them for each chunk as the scan reaches it.
+    On the standard simplex the Bernstein coefficients of A x^m are
+    b_alpha = v_(w(alpha)), w(alpha) = sum_j j alpha_j, so the generating
+    vector is the root net, and the coefficient at order * e_j is the form's
+    value at vertex j.  Each level drops every sub-simplex whose net is at
+    or above -cut (the form is then at least -cut on it), bisects the
+    longest edge of each one left (the first longest on ties), and builds
+    both children's nets by batched de Casteljau steps at 1/2.  The first
+    level with a vertex value below -cut returns its lowest vertex, a point
+    of the simplex with dyadic coordinates, once ``eval_form`` confirms it
+    below -cut.  Nets are convex combinations of the generating vector, so
+    no level overflows.
 
-    The worst point is then polished with 20 projected-gradient steps of
-    size 1/(1 + |g|); |g| is taken by ``math.hypot`` where the plain norm
-    overflows (max |v| from about 1e154), and the polish ends where g itself
-    overflows (max |v| near 1e308), keeping the best point so far.  Returns
-    the witness vector or None; absence of a witness is not a copositivity
-    certificate.  The cutoff grows with max |v|, as the rounding error of the
-    form does.
+    ``depth`` is the node budget: None comes back when every net clears the
+    cut, or when the next level would take the sub-simplices made past
+    4096 * depth.  Absence of a witness is not a copositivity certificate.
+    The cutoff grows with max |v|, as the rounding error of the form does.
     """
     depth = _integer("depth", depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    best_x, best_f = None, np.inf
-    for xs, fs in _grid_forms(a, 64 * depth):
-        i = int(np.argmin(fs))
-        if fs[i] < best_f:
-            best_x, best_f = xs[i].copy(), fs[i]
-
-    x, fx = best_x, eval_form(a, best_x)
-    for _ in range(20):
-        # |g|^2 overflows once max |v| reaches about 1e154, and such a norm is
-        # taken again by hypot; g itself can overflow near max |v| ~ 1e308,
-        # and a norm that hypot cannot take either ends the polish
-        with np.errstate(over="ignore"):
-            g = a.order * eval_gradient_form(a, x)
-            norm = float(np.linalg.norm(g))
-        if not math.isfinite(norm):
-            norm = math.hypot(*g)
-            if not math.isfinite(norm):
-                break
-        eta = 1.0 / (1.0 + norm)
-        improved = False
-        for _ in range(12):
-            xn = _project_simplex(x - eta * g)
-            fn = eval_form(a, xn)
-            if fn < fx:
-                x, fx = xn, fn
-                improved = True
-                break
-            eta *= 0.5
-        if not improved:
-            break
-    if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))):
-        return x
-    return None
+    cut = 1e-12 * max(1.0, float(np.max(np.abs(a.gen))))
+    alpha, shift = _subdivision_tables(a.order, a.dim)
+    corners = np.argmax(alpha, axis=0)
+    nets, verts = a.gen[alpha @ np.arange(a.dim)][None], np.eye(a.dim)[None]
+    iu, ju = np.triu_indices(a.dim, 1)
+    made = 0
+    while True:
+        vals = nets[:, corners]
+        node, j = np.unravel_index(np.argmin(vals), vals.shape)
+        if vals[node, j] < -cut:
+            x = verts[node, j].copy()
+            return x if eval_form(a, x) < -cut else None
+        keep = np.min(nets, axis=1) < -cut
+        nets, verts = nets[keep], verts[keep]
+        made += 2 * len(nets)
+        if len(nets) == 0 or made > 4096 * depth:
+            return None
+        d = verts[:, iu] - verts[:, ju]
+        e = np.argmax(np.einsum("bek,bek->be", d, d), axis=1)
+        # the first half of the children keeps vertex i, the second vertex j
+        i, j = np.concatenate([iu[e], ju[e]]), np.concatenate([ju[e], iu[e]])
+        nets, verts = np.concatenate([nets, nets]), np.concatenate([verts, verts])
+        rows = np.arange(len(nets))
+        verts[rows, j] = (verts[rows, i] + verts[rows, j]) / 2
+        moved, back = alpha.T[j], shift[i, j]
+        for step in range(1, a.order + 1):
+            nets = np.where(moved >= step, (nets + np.take_along_axis(nets, back, axis=1)) / 2, nets)

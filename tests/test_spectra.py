@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from hankeltensor import (
     zeig_extreme,
 )
 from hankeltensor import spectra
-from hankeltensor.core import _power_coeffs
 from hankeltensor.polyroots import form_directions
 from conftest import random_hankel, random_measure, random_positive_decomposition
 
@@ -46,13 +46,16 @@ def loop_simplex_grid(dim, steps):
         yield np.array(parts, dtype=float) / steps
 
 
-def loop_scan(a, depth=1):
-    # point-by-point scan with eval_form; the first grid minimum wins
+def loop_scan(a, depth=1, stop=-np.inf):
+    # point-by-point scan with eval_form; the first grid minimum wins, and
+    # the first point below ``stop`` ends the scan
     best_x, best_f = None, np.inf
     for x in loop_simplex_grid(a.dim, 64 * depth):
         f = eval_form(a, x)
         if f < best_f:
             best_x, best_f = x, f
+        if f < stop:
+            break
     return best_x
 
 
@@ -93,8 +96,24 @@ def loop_heig_dim2(a):
     return deduped
 
 
+def cut_of(a):
+    return 1e-12 * max(1.0, float(np.max(np.abs(a.gen))))
+
+
+def project_simplex(x):
+    # Euclidean projection onto the standard simplex
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.shape[0] + 1)
+    cond = u - css / idx > 0
+    rho = int(np.nonzero(cond)[0][-1])
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(x - theta, 0.0)
+
+
 def polish(a, x):
-    # the 20 projected-gradient steps that follow the scan
+    # the 20 projected-gradient steps that followed the grid scan; the
+    # value only goes down, so a start below the cut keeps a witness
     fx = eval_form(a, x)
     for _ in range(20):
         with np.errstate(over="ignore"):
@@ -107,7 +126,7 @@ def polish(a, x):
         eta = 1.0 / (1.0 + norm)
         improved = False
         for _ in range(12):
-            xn = spectra._project_simplex(x - eta * g)
+            xn = project_simplex(x - eta * g)
             fn = eval_form(a, xn)
             if fn < fx:
                 x, fx = xn, fn
@@ -116,7 +135,65 @@ def polish(a, x):
             eta *= 0.5
         if not improved:
             break
-    return x if fx < -1e-12 * max(1.0, float(np.max(np.abs(a.gen)))) else None
+    return x if fx < -cut_of(a) else None
+
+
+def corners_nonnegative(gen, order):
+    # the vertex values are v_(j m); with them nonnegative a witness has to
+    # come from a subdivision
+    return np.where(np.arange(len(gen)) % order == 0, np.abs(gen), gen)
+
+
+def exact_form(a, x):
+    # A x^m from the index-sum definition, in exact arithmetic at the float
+    # coordinates of x
+    v = [Fraction(t) for t in a.gen]
+    xs = [Fraction(t) for t in x]
+    return sum(
+        v[sum(idx)] * math.prod(xs[i] for i in idx) for idx in itertools.product(range(a.dim), repeat=a.order)
+    )
+
+
+def exact_bisection_finds_witness(a, budget=4096):
+    # longest-edge bisection of the standard simplex in Fraction arithmetic:
+    # Bernstein nets keyed by multi-index, root net v_(w(alpha)), children by
+    # de Casteljau at 1/2, the first longest edge on ties, and the same cut
+    # and node budget as copositive_falsify at depth 1
+    m, n = a.order, a.dim
+    cut = Fraction(cut_of(a))
+    alphas = [tuple(c.count(j) for j in range(n)) for c in itertools.combinations_with_replacement(range(n), m)]
+    v = [Fraction(t) for t in a.gen]
+    corners = [tuple(m * (i == j) for i in range(n)) for j in range(n)]
+    root = {al: v[sum(j * aj for j, aj in enumerate(al))] for al in alphas}
+    level = [(root, [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)])]
+    made = 0
+    while True:
+        if any(net[c] < -cut for net, _ in level for c in corners):
+            return True
+        level = [(net, verts) for net, verts in level if min(net.values()) < -cut]
+        made += 2 * len(level)
+        if not level or made > budget:
+            return False
+        children = []
+        for net, verts in level:
+            i, j = max(
+                itertools.combinations(range(n), 2),
+                key=lambda e: sum((p - q) ** 2 for p, q in zip(verts[e[0]], verts[e[1]])),
+            )
+            mid = tuple((p + q) / 2 for p, q in zip(verts[i], verts[j]))
+            for keep, moved in ((i, j), (j, i)):
+                child = {}
+                for al in alphas:
+                    total = Fraction(0)
+                    for k in range(al[moved] + 1):
+                        beta = list(al)
+                        beta[moved], beta[keep] = k, al[keep] + al[moved] - k
+                        total += math.comb(al[moved], k) * net[tuple(beta)]
+                    child[al] = total / 2 ** al[moved]
+                child_verts = list(verts)
+                child_verts[moved] = mid
+                children.append((child, child_verts))
+        level = children
 
 
 def zmin(a, **kw):
@@ -638,6 +715,13 @@ class TestCopositiveFalsify:
         w = copositive_falsify(make_hankel(4, 2, 1e6 * CROSS_NEG.gen))
         assert_allclose(w, [0.5, 0.5], atol=1e-4)
 
+    def test_witness_just_below_the_cut(self):
+        # -6c x1^2 x2^2 has its least value -3c/8 at the midpoint: below the
+        # cut of 1e-12 at c = 4e-12, above it at c = 2e-12
+        w = copositive_falsify(make_hankel(4, 2, [0.0, 0.0, -4e-12, 0.0, 0.0]))
+        assert w.tolist() == [0.5, 0.5]
+        assert copositive_falsify(make_hankel(4, 2, [0.0, 0.0, -2e-12, 0.0, 0.0])) is None
+
     def test_vertex_witness(self):
         w = copositive_falsify(make_hankel(2, 2, [-1.0, 0.0, 0.0]))
         assert w is not None
@@ -665,109 +749,9 @@ class TestCopositiveFalsify:
         w = copositive_falsify(CROSS_NEG, depth=np.int64(2))
         assert w.tobytes() == copositive_falsify(CROSS_NEG, depth=2).tobytes()
 
-    def test_grid_built_once_per_shape(self, rng, monkeypatch):
-        calls = []
-        chunks = spectra._simplex_chunks
-
-        def counting(dim, steps):
-            calls.append((dim, steps))
-            return chunks(dim, steps)
-
-        spectra._simplex_grid.cache_clear()
-        spectra._power_rows.cache_clear()
-        monkeypatch.setattr(spectra, "_simplex_chunks", counting)
-        copositive_falsify(random_hankel(rng, 3, 4))
-        copositive_falsify(random_hankel(rng, 4, 4))
-        copositive_falsify(random_hankel(rng, 2, 4))
-        assert calls == [(4, 64)]
-        # orders 3 and 4 share the power-2 rows; order 2 needs only the grid
-        info = spectra._power_rows.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        rows = spectra._power_rows(4, 64, 2)
-        assert not any(c.flags.writeable for c in rows)
-        with pytest.raises(ValueError):
-            rows[0][0, 0] = 1.0
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_cached_grid_is_read_only_and_equals_the_point_generator(self, dim):
-        chunks = spectra._simplex_grid(dim, 64)
-        assert not any(xs.flags.writeable for xs in chunks)
-        with pytest.raises(ValueError):
-            chunks[0][0, 0] = 1.0
-        want = np.array(list(loop_simplex_grid(dim, 64)))
-        assert np.concatenate(chunks).tobytes() == want.tobytes()
-
-    def test_grid_above_the_cap_is_streamed(self, rng):
-        # the dim-5 grid at depth 1 has C(68, 4) = 814,385 rows, 32.6 MB
-        assert math.comb(68, 4) * 5 * 8 > spectra._GRID_CACHE_BYTES
-        # order 7 at dim 4 would need the power-4 rows: 47,905 x 13, 5.0 MB
-        assert math.comb(67, 3) * 13 * 8 > spectra._GRID_CACHE_BYTES
-        before = spectra._simplex_grid.cache_info()
-        rows_before = spectra._power_rows.cache_info()
-        # both build their power rows chunk by chunk and keep none
-        copositive_falsify(random_hankel(rng, 3, 5))
-        assert spectra._simplex_grid.cache_info() == before
-        copositive_falsify(random_hankel(rng, 7, 4))
-        assert spectra._power_rows.cache_info() == rows_before
-
-    @pytest.mark.parametrize(
-        "order, dim, want",
-        [
-            (3, 5, "0000000000000000fc53ea40ec9fd83f03d68adf09b0e33f00000000000000000000000000000000"),
-            (7, 4, "284304956beac43f0000000000000000000000000000000037efbe1a65c5ea3f"),
-        ],
-    )
-    def test_streamed_and_over_cap_witnesses_keep_their_bytes(self, order, dim, want):
-        # bytes recorded from the repeated-contraction scan that these shapes
-        # ran before their power rows were built chunk by chunk
-        gen = np.random.default_rng(10 * order + dim).uniform(-1, 1, (dim - 1) * order + 1)
-        assert copositive_falsify(make_hankel(order, dim, gen)).tobytes().hex() == want
-
-    @pytest.mark.parametrize("dim, power", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
-    def test_power_rows_equal_the_power_coefficients(self, dim, power):
-        # 1/64-grid coefficients are dyadic rationals, exact in float64
-        rows = spectra._power_rows(dim, 64, power)
-        for xs, c in zip(spectra._simplex_grid(dim, 64), rows, strict=True):
-            want = np.array([_power_coeffs(x, power) for x in xs])
-            assert c.T.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dim, steps, power", [(5, 64, 2), (4, 64, 4), (3, 128, 7)])
-    def test_per_chunk_power_columns_are_exact(self, dim, steps, power):
-        # streamed or over-cap shapes build their rows chunk by chunk
-        xs = next(spectra._simplex_chunks(dim, steps))
-        want = np.array([_power_coeffs(x, power) for x in xs])
-        assert spectra._power_columns(xs, power).T.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("order", range(2, 7))
-    def test_scan_values_match_eval_form(self, rng, order):
-        for dim in (2, 3, 4):
-            a = random_hankel(rng, order, dim)
-            eps = 4 * np.finfo(float).eps * np.max(np.abs(a.gen))
-            # one chunk of the 47,905-row dim-4 grid keeps this test short
-            for xs, fs in itertools.islice(spectra._grid_forms(a, 64), 1 if dim == 4 else None):
-                want = np.array([eval_form(a, x) for x in xs])
-                assert np.max(np.abs(fs - want)) <= eps
-
-    def test_cached_rows_stay_small(self, rng):
-        # the grids and power rows that orders 2-4 at dims 3 and 4 keep:
-        # 4.35 MB, where the copositivity benchmark peaks at about 46 MB
-        # without them, against a bound of 10%
-        caches = (spectra._simplex_grid, spectra._power_rows)
-        for cache in caches:
-            cache.cache_clear()
-        for order in (2, 3, 4):
-            for dim in (3, 4):
-                copositive_falsify(random_hankel(rng, order, dim))
-        held = [cache.cache_info() for cache in caches]
-        tables = [spectra._simplex_grid(d, 64) for d in (3, 4)] + [spectra._power_rows(d, 64, 2) for d in (3, 4)]
-        # the four tables summed are all that is held: none was built here
-        assert [cache.cache_info().misses for cache in caches] == [info.misses for info in held]
-        assert [info.currsize for info in held] == [2, 2]
-        assert sum(c.nbytes for chunks in tables for c in chunks) <= 4.5e6
-
-    def test_huge_generating_vector_polishes_without_overflow(self):
-        # |g|^2 overflows from max |v| ~ 1e154; the step size then uses hypot.
-        # At 1e308, g itself overflows: the polish ends at the grid's witness
+    def test_huge_generating_vector_subdivides_without_overflow(self):
+        # every net is a convex combination of the generating vector, so no
+        # level overflows, up to max |v| near 1e308
         gen = np.random.default_rng(0).uniform(-1, 1, 5)
         values = []
         with warnings.catch_warnings():
@@ -778,32 +762,14 @@ class TestCopositiveFalsify:
         assert values[1] == pytest.approx(values[0], rel=1e-12)
         assert values[2] < 0
 
-    @pytest.mark.parametrize(
-        "dim, steps",
-        # 4095 and 4096 steps at dim 2 end exactly on, and one row past, a chunk
-        [(d, s) for d in (2, 3, 4) for s in (64, 128)] + [(2, 4095), (2, 4096)],
-    )
-    def test_chunks_equal_the_point_generator(self, dim, steps):
-        ref = loop_simplex_grid(dim, steps)
-        for xs in spectra._simplex_chunks(dim, steps):
-            assert xs.shape[0] <= spectra._GRID_CHUNK
-            want = np.array(list(itertools.islice(ref, xs.shape[0])))
-            assert xs.tobytes() == want.tobytes()
-        assert next(ref, None) is None
-
-    @pytest.mark.parametrize("steps", [64, 128])
-    def test_chunks_start_like_the_point_generator_at_dim5(self, steps):
-        # 0.8 and 12.1 million rows in all: compare the first three chunks
-        got = np.vstack(list(itertools.islice(spectra._simplex_chunks(5, steps), 3)))
-        want = np.array(list(itertools.islice(loop_simplex_grid(5, steps), got.shape[0])))
-        assert got.shape[0] == 3 * spectra._GRID_CHUNK
-        assert got.tobytes() == want.tobytes()
-
     def test_witness_equals_point_by_point_scan(self, rng):
+        # a witness comes back exactly when the 1/64 grid scan and its polish
+        # find one; the scan can stop at the first point below the cut,
+        # since the polish only lowers the value
         kinds = ("random", "moment", "palindromic")
         cases = [(m, n, k) for m in range(2, 6) for n in (2, 3) for k in kinds]
-        # the 47,905-point dim-4 grid costs the reference loop about 0.3 s
         cases += [(2, 4, "random"), (3, 4, "moment"), (4, 4, "palindromic")]
+        tensors = []
         for order, dim, kind in cases:
             if kind == "moment":
                 a = from_measure(random_measure(rng), order, dim)
@@ -811,14 +777,34 @@ class TestCopositiveFalsify:
                 a = random_hankel(rng, order, dim)
             if kind == "palindromic":
                 a = make_hankel(order, dim, a.gen + a.gen[::-1])
-            start = loop_scan(a)
-            got, want = copositive_falsify(a), polish(a, start)
+            tensors.append(a)
+        for order, dim in ((3, 5), (7, 4)):
+            gen = np.random.default_rng(10 * order + dim).uniform(-1, 1, (dim - 1) * order + 1)
+            tensors += [make_hankel(order, dim, gen), make_hankel(order, dim, corners_nonnegative(gen, order))]
+        for a in tensors:
+            got = copositive_falsify(a)
+            want = polish(a, loop_scan(a, stop=-cut_of(a)))
             assert (got is None) == (want is None)
-            if got is None or got.tobytes() == want.tobytes():
-                continue
-            # the one documented rounding tie: a palindromic generating
-            # vector gives A x^m = A rev(x)^m exactly, the two scans round
-            # the mirror-image grid values differently, and the chunked scan
-            # polishes from the mirrored grid point
-            assert kind == "palindromic"
-            assert got.tobytes() == polish(a, start[::-1].copy()).tobytes()
+            if got is not None:
+                assert np.sum(got) == 1.0
+                assert np.min(got) >= 0.0
+                assert eval_form(a, got) < -cut_of(a)
+
+    @pytest.mark.parametrize("order, dim", [(4, 4), (3, 5)])
+    def test_exact_arithmetic_agrees(self, order, dim):
+        # a witness's form value at its dyadic coordinates is below the cut
+        # in exact arithmetic, and where None comes back the bisection run
+        # again exactly finds no vertex below it
+        rng = np.random.default_rng(10 * order + dim)
+        found = []
+        for low in (-1.0, -0.5, -0.3, -0.2):
+            for _ in range(4):
+                gen = rng.uniform(low, 1.0, (dim - 1) * order + 1)
+                a = make_hankel(order, dim, corners_nonnegative(gen, order))
+                w = copositive_falsify(a)
+                found.append(w is not None)
+                if w is None:
+                    assert not exact_bisection_finds_witness(a)
+                else:
+                    assert exact_form(a, w) < -Fraction(cut_of(a))
+        assert any(found) and not all(found)
