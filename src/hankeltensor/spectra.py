@@ -20,7 +20,10 @@ For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification bisects the standard simplex, on which the
 form's Bernstein net is the generating vector itself, and stops at the
-first sub-simplex vertex where the form is negative.
+first sub-simplex vertex where the form is negative.  At even order the
+associated Hankel matrix is tried before the first bisection: a smallest
+eigenvalue at or above -cutoff proves that no simplex point is below it,
+so every even-order strong tensor is settled without subdivision.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyroots
-from .associated import _has_plane, assoc_plane
+from .associated import _has_plane, _square, assoc_matrix, assoc_plane
 from .core import HankelTensor, _contract, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
@@ -335,13 +338,16 @@ def odd_sign_check(pair, cls, order):
 def _subdivision_tables(order, dim):
     """Multi-index tables for Bernstein nets of degree ``order`` on a simplex of ``dim`` vertices.
 
-    Returns ``(alpha, shift)``: the rows of ``alpha`` are the N multi-indices
-    |alpha| = order, and ``shift[i, j, r]`` is the row of
-    alpha_r - e_j + e_i (r itself where alpha_r has no j part).  Bisecting
-    edge (i, j) at 1/2 and putting the midpoint in place of vertex j gives
-    the child net c_alpha = sum_k C(alpha_j, k) 2^-alpha_j b_beta, beta being
-    alpha with alpha_j -> k and alpha_i -> alpha_i + alpha_j - k.  It is
-    built by de Casteljau in place: step s = 1..order replaces b_alpha by
+    Returns ``(alpha, shift, corners, root, iu, ju)``: the rows of ``alpha``
+    are the N multi-indices |alpha| = order; ``shift[i, j, r]`` is the row of
+    alpha_r - e_j + e_i (r itself where alpha_r has no j part); ``corners[j]``
+    is the row of order * e_j; ``root[r]`` = w(alpha_r) is the slot of the
+    generating vector at row r; and ``(iu, ju)`` are the vertex pairs i < j,
+    the edges.  Bisecting edge (i, j) at 1/2 and putting the midpoint in
+    place of vertex j gives the child net
+    c_alpha = sum_k C(alpha_j, k) 2^-alpha_j b_beta, beta being alpha with
+    alpha_j -> k and alpha_i -> alpha_i + alpha_j - k.  It is built by
+    de Casteljau in place: step s = 1..order replaces b_alpha by
     (b_alpha + b_(alpha - e_j + e_i)) / 2 wherever alpha_j >= s.  The
     tables take O(dim^2 N) entries and a step O(N) per sub-simplex.
     """
@@ -355,9 +361,27 @@ def _subdivision_tables(order, dim):
         beta[:, i] += 1
         beta[:, j] -= 1
         shift[i, j] = [rank.get(r, k) for k, r in enumerate(map(tuple, beta.tolist()))]
-    for t in (alpha, shift):
+    tables = (alpha, shift, np.argmax(alpha, axis=0), alpha @ np.arange(dim), *np.triu_indices(dim, 1))
+    for t in tables:
         t.flags.writeable = False
-    return alpha, shift
+    return tables
+
+
+def _matrix_certifies(a, big, cut):
+    """Whether the associated Hankel matrix proves A x^m >= -cut on the simplex, at even m = 2k.
+
+    With p(t) = sum_j x_j t^j and c(x) the coefficients of p(t)^k,
+    A x^m = c(x)^T M c(x) for the q x q associated matrix M,
+    q = (n-1)k + 1.  On the simplex c >= 0 and sum c = 1, so |c|^2 <= 1
+    and A x^m >= min(0, lambda_min(M)).  The computed lambda_min is within
+    e = 8 q^2 eps max |v| of the exact one (Weyl's inequality, the backward
+    stability of ``eigvalsh`` and |M|_2 <= q max |v|), so
+    lambda_min - e >= -cut proves that no simplex point is below -cut.
+    """
+    mat = _square(assoc_matrix(a))
+    q = mat.shape[0]
+    low = float(np.linalg.eigvalsh(mat)[0])
+    return low - 8.0 * q * q * np.finfo(float).eps * big >= -cut
 
 
 def copositive_falsify(a, depth=1):
@@ -375,19 +399,27 @@ def copositive_falsify(a, depth=1):
     below -cut.  Nets are convex combinations of the generating vector, so
     no level overflows.
 
-    ``depth`` is the node budget: None comes back when every net clears the
-    cut, or when the next level would take the sub-simplices made past
-    4096 * depth.  Absence of a witness is not a copositivity certificate.
-    The cutoff grows with max |v|, as the rounding error of the form does.
+    At even order, when the root's vertices clear the cut but its net does
+    not, the associated Hankel matrix M is tried before the first
+    bisection: A x^m >= min(0, lambda_min(M)) on the simplex, so a
+    lambda_min at or above -cut, less its rounding margin, proves the form
+    copositive to within the cut, and None comes back at once.  Every
+    even-order strong tensor (M PSD) is settled there.
+
+    ``depth`` is the node budget: None also comes back when every net clears
+    the cut, or when the next level would take the sub-simplices made past
+    4096 * depth.  Only the matrix certificate proves copositivity; a None
+    from the subdivision is no certificate, since the budget may have run
+    out.  The cutoff grows with max |v|, as the rounding error of the form
+    does.
     """
     depth = _integer("depth", depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    cut = 1e-12 * max(1.0, float(np.max(np.abs(a.gen))))
-    alpha, shift = _subdivision_tables(a.order, a.dim)
-    corners = np.argmax(alpha, axis=0)
-    nets, verts = a.gen[alpha @ np.arange(a.dim)][None], np.eye(a.dim)[None]
-    iu, ju = np.triu_indices(a.dim, 1)
+    big = float(np.max(np.abs(a.gen)))
+    cut = 1e-12 * max(1.0, big)
+    alpha, shift, corners, root, iu, ju = _subdivision_tables(a.order, a.dim)
+    nets, verts = a.gen[root][None], np.eye(a.dim)[None]
     made = 0
     while True:
         vals = nets[:, corners]
@@ -396,6 +428,9 @@ def copositive_falsify(a, depth=1):
             x = verts[node, j].copy()
             return x if eval_form(a, x) < -cut else None
         keep = np.min(nets, axis=1) < -cut
+        # the root level, before the first bisection
+        if made == 0 and keep[0] and a.order % 2 == 0 and _matrix_certifies(a, big, cut):
+            return None
         nets, verts = nets[keep], verts[keep]
         made += 2 * len(nets)
         if len(nets) == 0 or made > 4096 * depth:

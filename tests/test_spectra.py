@@ -20,6 +20,7 @@ from hankeltensor import (
     eval_gradient_form,
     from_measure,
     heig_dim2,
+    is_strong,
     make_hankel,
     odd_sign_check,
     z_extremes,
@@ -27,7 +28,7 @@ from hankeltensor import (
 )
 from hankeltensor import spectra
 from hankeltensor.polyroots import form_directions
-from conftest import random_hankel, random_measure, random_positive_decomposition
+from conftest import dense_matrix, random_hankel, random_measure, random_positive_decomposition
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 CROSS_NEG = make_hankel(4, 2, [0.0, 0.0, -1.0 / 6.0, 0.0, 0.0])
@@ -194,6 +195,55 @@ def exact_bisection_finds_witness(a, budget=4096):
                 child_verts[moved] = mid
                 children.append((child, child_verts))
         level = children
+
+
+def exact_ldl_pivots(mat, shift):
+    # the pivots of the LDL^T factorisation of mat + shift * I without
+    # pivoting, in exact arithmetic at the float entries; all of them are
+    # positive exactly when the matrix is positive definite, and the first
+    # pivot that is not ends the factorisation
+    m = [[Fraction(x) + (Fraction(shift) if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    pivots = []
+    for k in range(len(m)):
+        pivots.append(m[k][k])
+        if m[k][k] <= 0:
+            break
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, len(m)):
+                m[i][j] -= f * m[k][j]
+    return pivots
+
+
+@pytest.fixture
+def casteljau_steps(monkeypatch):
+    # the row counts of the de Casteljau half-steps copositive_falsify takes,
+    # one np.take_along_axis per half-step
+    rows = []
+    take = np.take_along_axis
+
+    def spy(arr, indices, axis):
+        rows.append(arr.shape[0])
+        return take(arr, indices, axis)
+
+    monkeypatch.setattr(np, "take_along_axis", spy)
+    return rows
+
+
+def certificate_calls(monkeypatch, certify=None):
+    # record each call of the matrix certificate and its answer; with
+    # ``certify`` given, answer that instead, so False runs the subdivision
+    # alone
+    calls = []
+    real = spectra._matrix_certifies
+
+    def record(a, big, cut):
+        ok = real(a, big, cut) if certify is None else certify
+        calls.append((a, ok))
+        return ok
+
+    monkeypatch.setattr(spectra, "_matrix_certifies", record)
+    return calls
 
 
 def zmin(a, **kw):
@@ -762,6 +812,28 @@ class TestCopositiveFalsify:
         assert values[1] == pytest.approx(values[0], rel=1e-12)
         assert values[2] < 0
 
+    def test_huge_strong_tensor_is_certified_without_overflow(self, casteljau_steps):
+        # an even-order moment tensor with a negative node: its odd slots
+        # are below the cut and its vertex entries are not, so the matrix
+        # certificate settles it, at max |v| near 1e308 too
+        gen = from_measure(DiscreteMeasure([-0.6, 0.8], [0.7, 0.3]), 4, 3).gen
+        a = make_hankel(4, 3, 1e308 / np.max(np.abs(gen)) * gen)
+        assert np.max(np.abs(a.gen)) > 9e307
+        assert np.min(a.gen) < -cut_of(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert copositive_falsify(a) is None
+        assert casteljau_steps == []
+
+    def test_index_tables_are_cached_read_only(self):
+        alpha, shift, corners, root, iu, ju = spectra._subdivision_tables(4, 3)
+        assert all(t is u for t, u in zip(spectra._subdivision_tables(4, 3), (alpha, shift, corners, root, iu, ju)))
+        for t in (alpha, shift, corners, root, iu, ju):
+            assert not t.flags.writeable
+        assert (alpha[corners] == 4 * np.eye(3)).all()
+        assert root.tolist() == [int(r @ np.arange(3)) for r in alpha]
+        assert (iu.tolist(), ju.tolist()) == ([0, 0, 1], [1, 2, 2])
+
     def test_witness_equals_point_by_point_scan(self, rng):
         # a witness comes back exactly when the 1/64 grid scan and its polish
         # find one; the scan can stop at the first point below the cut,
@@ -808,3 +880,81 @@ class TestCopositiveFalsify:
                 else:
                     assert exact_form(a, w) < -Fraction(cut_of(a))
         assert any(found) and not all(found)
+
+    def test_budget_bound_strong_tensor_is_certified_at_the_root(self, monkeypatch, casteljau_steps):
+        # the form of a one-node moment tensor with a negative node is
+        # (sum_j x_j t^j)^4, which vanishes on a surface through the
+        # simplex: the subdivision alone ends on its budget, since depth 2
+        # takes more steps than depth 1, while the matrix certificate
+        # settles it with no de Casteljau step
+        a = from_measure(random_measure(np.random.default_rng(14)), 4, 4)
+        assert is_strong(a).is_strong
+        calls = certificate_calls(monkeypatch)
+        assert copositive_falsify(a) is None
+        assert [ok for _, ok in calls] == [True]
+        assert casteljau_steps == []
+        certificate_calls(monkeypatch, certify=False)
+        assert copositive_falsify(a, 1) is None
+        steps_at_depth_1 = len(casteljau_steps)
+        assert copositive_falsify(a, 2) is None
+        assert len(casteljau_steps) - steps_at_depth_1 > steps_at_depth_1 > 0
+
+    @pytest.mark.parametrize("order, dim", [(4, 4), (2, 5), (6, 4)])
+    def test_certificate_agrees_with_exact_ldl(self, monkeypatch, order, dim):
+        # wherever the certificate settles a seeded strong tensor, M + cut I
+        # is positive definite in exact arithmetic: its LDL^T pivots are all
+        # positive.  The moment tensors come plain and with v_0 lowered by
+        # 5e-13 or 3e-12, which takes a singular M to lambda_min about
+        # -5e-13, inside the cut of 1e-12, or about -3e-12, outside it
+        calls = certificate_calls(monkeypatch)
+        rng = np.random.default_rng(10 * order + dim)
+        for _ in range(8):
+            gen = from_measure(random_measure(rng), order, dim).gen
+            for low in (0.0, 5e-13, 3e-12):
+                a = make_hankel(order, dim, gen - low * (np.arange(len(gen)) == 0))
+                assert is_strong(a).is_strong
+                assert copositive_falsify(a) is None
+        fired = [a for a, ok in calls if ok]
+        assert len(fired) >= 4
+        for a in fired:
+            mat = dense_matrix(assoc_matrix(a))
+            pivots = exact_ldl_pivots(mat, cut_of(a))
+            assert len(pivots) == len(mat)
+            assert min(pivots) > 0
+
+    def test_non_strong_tensors_still_subdivide(self, monkeypatch, casteljau_steps):
+        # even-order tensors that are not strong, with vertex entries
+        # nonnegative and some other slot below the cut: the certificate is
+        # tried and declines, the subdivision runs, a witness comes back
+        # exactly when the kept reference scan finds one, and its bytes are
+        # those of the subdivision alone
+        rng = np.random.default_rng(5)
+        tensors = []
+        for order, dim in ((2, 3), (4, 3), (6, 3), (2, 4)):
+            size = (dim - 1) * order + 1
+            for _ in range(3):
+                moment = from_measure(random_measure(rng), order, dim).gen
+                tensors.append(make_hankel(order, dim, moment - 0.02 * rng.uniform(0, 1, size)))
+                tensors.append(make_hankel(order, dim, corners_nonnegative(rng.uniform(-1, 1, size), order)))
+                tensors.append(make_hankel(order, dim, rng.uniform(-0.1, 1, size)))
+        tensors = [
+            a
+            for a in tensors
+            if not is_strong(a).is_strong and np.min(a.gen[:: a.order]) >= 0 and np.min(a.gen) < -cut_of(a)
+        ]
+        assert len(tensors) >= 20
+        calls = certificate_calls(monkeypatch)
+        got = []
+        for a in tensors:
+            casteljau_steps.clear()
+            got.append(copositive_falsify(a))
+            assert casteljau_steps
+        assert [ok for _, ok in calls] == [False] * len(tensors)
+        certificate_calls(monkeypatch, certify=False)
+        for a, w in zip(tensors, got):
+            alone = copositive_falsify(a)
+            want = polish(a, loop_scan(a, stop=-cut_of(a)))
+            assert (w is None) == (alone is None) == (want is None)
+            if w is not None:
+                assert w.tobytes() == alone.tobytes()
+        assert any(w is None for w in got) and not all(w is None for w in got)
