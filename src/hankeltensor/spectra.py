@@ -23,7 +23,7 @@ form's Bernstein net is the generating vector itself, and stops at the
 first sub-simplex vertex where the form is negative.  At even order the
 associated Hankel matrix is tried before the first bisection: a smallest
 eigenvalue at or above -cutoff proves that no simplex point is below it,
-so every even-order strong tensor is settled without subdivision.
+which settles even-order strong tensors without subdivision.
 """
 
 from __future__ import annotations
@@ -402,16 +402,18 @@ def copositive_falsify(a, depth=1):
     At even order, when the root's vertices clear the cut but its net does
     not, the associated Hankel matrix M is tried before the first
     bisection: A x^m >= min(0, lambda_min(M)) on the simplex, so a
-    lambda_min at or above -cut, less its rounding margin, proves the form
-    copositive to within the cut, and None comes back at once.  Every
-    even-order strong tensor (M PSD) is settled there.
+    lambda_min at or above -cut, less its rounding margin
+    e = 8 q^2 eps max |v|, proves the form copositive to within the cut,
+    and None comes back at once.  Every
+    even-order tensor with M PSD and (n-1)m <= 30 is settled there: its
+    computed lambda_min is at least -e, and 2e stays below the cut.
 
     ``depth`` is the node budget: None also comes back when every net clears
     the cut, or when the next level would take the sub-simplices made past
-    4096 * depth.  Only the matrix certificate proves copositivity; a None
-    from the subdivision is no certificate, since the budget may have run
-    out.  The cutoff grows with max |v|, as the rounding error of the form
-    does.
+    4096 * depth.  A None from the matrix certificate, or from every net
+    clearing the cut, proves the form at least -cut on the simplex; one
+    from the budget proves nothing, and the three are not told apart.
+    The cutoff grows with max |v|, as the rounding error of the form does.
     """
     depth = _integer("depth", depth)
     if depth < 1:

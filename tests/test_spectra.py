@@ -826,10 +826,10 @@ class TestCopositiveFalsify:
         assert casteljau_steps == []
 
     def test_index_tables_are_cached_read_only(self):
-        alpha, shift, corners, root, iu, ju = spectra._subdivision_tables(4, 3)
-        assert all(t is u for t, u in zip(spectra._subdivision_tables(4, 3), (alpha, shift, corners, root, iu, ju)))
-        for t in (alpha, shift, corners, root, iu, ju):
-            assert not t.flags.writeable
+        tables = spectra._subdivision_tables(4, 3)
+        assert spectra._subdivision_tables(4, 3) is tables
+        assert not any(t.flags.writeable for t in tables)
+        alpha, _, corners, root, iu, ju = tables
         assert (alpha[corners] == 4 * np.eye(3)).all()
         assert root.tolist() == [int(r @ np.arange(3)) for r in alpha]
         assert (iu.tolist(), ju.tolist()) == ([0, 0, 1], [1, 2, 2])
