@@ -87,10 +87,13 @@ def assoc_matrix(a, completion=None):
     return HankelTensor(2, q, np.append(a.gen, c))
 
 
-def _square(h):
-    """Dense q x q array of the order-2 tensor ``h``: entry (i, j) is gen[i + j]."""
-    i = np.arange(h.dim)
-    return h.gen[i[:, None] + i]
+def _square(gen):
+    """Dense q x q array of the Hankel matrix with generating vector ``gen``, of odd length 2q - 1.
+
+    Entry (i, j) is gen[i + j].
+    """
+    i = np.arange((len(gen) + 1) // 2)
+    return gen[i[:, None] + i]
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ def is_strong(a, tol=1e-10):
     _check_tol(tol)
     big = float(np.max(np.abs(a.gen)))
     cut = tol * max(1.0, big)
-    mat = _square(assoc_matrix(a))
+    mat = _square(assoc_matrix(a).gen)
     completion = None
     if (a.dim - 1) * a.order % 2:
         # P and b enter eigh scaled by 2^-e < 1/max|v|, so bh^2 cannot
@@ -132,7 +135,7 @@ def is_strong(a, tol=1e-10):
         # a c* past the float range is refused by assoc_matrix
         with np.errstate(over="ignore"):
             completion = float(np.ldexp(np.sum(bh[keep] ** 2 / lam[keep]), e))
-        mat = _square(assoc_matrix(a, completion))
+        mat = _square(assoc_matrix(a, completion).gen)
     vals, vecs = np.linalg.eigh(mat)
     min_eig = float(vals[0])
     ok = min_eig >= -cut

@@ -140,7 +140,7 @@ def _cmd_hadamard(args):
 
 def _cmd_zeig(args):
     t = _load_tensor(args.tensor)
-    pair = spectra.zeig_extreme(t, args.mode, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    pair = spectra.zeig_extreme(t, args.mode, restarts=args.restarts, iters=args.iters)
     _emit(args, serialize.to_dict(pair))
     return 0
 
@@ -266,12 +266,6 @@ def build_parser():
         help="scanned starts at dim 3 and up (default 20); no effect at order 2 or dim 2",
     )
     p.add_argument("--iters", type=int, default=500, help="power steps per start (default 500)")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the scanned cloud of starts; no effect at order 2 or dim 2",
-    )
     opt_output(p)
 
     p = add("heig2", _cmd_heig2, "all H-eigenpairs of a two-dimensional tensor")

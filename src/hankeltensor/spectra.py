@@ -10,8 +10,8 @@ start ascends monotonically.  At dim 2 the one start is the associated plane
 tensor's certified circle extreme lifted to the unit sphere (the point where
 the plane bound is taken).  At dim 3 and up the starts are the coordinate
 directions, that lifted plane extreme where the tensor has a plane, and the
-best-valued points of one seeded cloud of unit vectors, evaluated in one
-batch; the plane start makes the plane-derived bounds hold against the
+best-valued rows of one fixed, cached table of unit vectors, evaluated in
+one batch; the plane start makes the plane-derived bounds hold against the
 estimates by construction.  Each start climbs once, until its Rayleigh value
 moves by at most max(1e-4 |lambda|, 1e-12 (1 + |lambda|)) in a step; the
 start of highest value alone then gets a Newton polish, which finishes the
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyroots
-from .associated import _has_plane, _square, assoc_matrix, assoc_plane
+from .associated import _has_plane, _square, assoc_plane
 from .core import HankelTensor, _contract, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
 from .plane import z_extremes
 
@@ -95,6 +95,19 @@ def _plane_lifts(order, dim, gen_bytes):
     return lifts
 
 
+@lru_cache(maxsize=8)
+def _scan_directions(dim, rows):
+    """The scanned starts: ``rows`` standard-normal draws of ``default_rng(0)``, each normalised.
+
+    Built once per (dim, rows) and read-only; a longer table starts with
+    every shorter one, so ``restarts`` above 1024 only appends rows.
+    """
+    table = np.random.default_rng(0).standard_normal((rows, dim))
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    table.flags.writeable = False
+    return table
+
+
 def _rayleigh(work, x):
     """The Rayleigh value x . A x^(m-1) and the residual max |A x^(m-1) - lam x|."""
     g = eval_gradient_form(work, x)
@@ -135,7 +148,7 @@ def _newton_polish(work, x, lam, outer_idx):
     return (x, *_rayleigh(work, x))
 
 
-def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
+def zeig_extreme(a, mode, restarts=20, iters=500):
     """Estimate the extreme Z-eigenpair of ``a``.
 
     ``mode='min'`` works on -A.  At order 2 the pair is the extreme
@@ -151,11 +164,11 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
       the call, are refused by the root engine.
     - dim 3 and up: the coordinate vectors; the lifted plane extreme of the
       mode when the plane degree (dim-1)*order is within the cap; and the
-      ``restarts`` best-valued rows (the first on ties) of one cloud of
-      max(1024, restarts) unit vectors drawn from ``seed``, evaluated in one
-      batch.
+      ``restarts`` best-valued rows (the first on ties) of one fixed table of
+      max(1024, restarts) unit vectors, the normalised standard-normal draws
+      of ``default_rng(0)``, evaluated in one batch.
 
-    ``restarts`` and ``seed`` have no effect at order 2 or at dim 2.  Each
+    ``restarts`` has no effect at order 2 or at dim 2.  Each
     start climbs once: it stops at the first accepted step whose value moves
     by at most max(1e-4 * |lambda|, 1e-12 * (1 + |lambda|)), at a step whose
     norm is zero or overflows, or after ``iters`` power steps per start,
@@ -165,7 +178,11 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
     finishes the climb from where the start stopped.  ``converged`` is the
     returned pair's residual test, residual <= 1e-8 * (1 + |lambda|).  A cap
     sum that overflows a float is refused with a ``ValueError``, at order 2
-    too; with |v| <= 1 that takes order 647 or more at dim 3.
+    too; with |v| <= 1 that takes order 647 or more at dim 3.  Within the
+    caps ``converged`` can be False at high order: for
+    v = default_rng(m).uniform(-1, 1, 2m + 1) at dim 3, max mode,
+    restarts=4 and iters=300, orders 100 and 150 converge, while orders 200
+    and 300 end with relative residuals of 5.4% and 5.5%.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -196,10 +213,8 @@ def zeig_extreme(a, mode, restarts=20, iters=500, seed=0):
         lam, residual = _rayleigh(work, x)
         return EigenPair("Z", sign * lam, x, residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam)), residual)
     if a.dim > 2:
-        rng = np.random.default_rng(seed)
-        cloud = rng.standard_normal((max(_SCAN_ROWS, restarts), a.dim))
-        cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
-        starts.extend(cloud[np.argsort(-_forms(work, cloud), kind="stable")[:restarts]])
+        table = _scan_directions(a.dim, max(_SCAN_ROWS, restarts))
+        starts.extend(table[np.argsort(-_forms(work, table), kind="stable")[:restarts]])
 
     def ascend(x):
         """Power steps from ``x`` until |step| <= max(1e-4 |lambda|, 1e-12 (1 + |lambda|)).
@@ -372,13 +387,14 @@ def _matrix_certifies(a, big, cut):
 
     With p(t) = sum_j x_j t^j and c(x) the coefficients of p(t)^k,
     A x^m = c(x)^T M c(x) for the q x q associated matrix M,
-    q = (n-1)k + 1.  On the simplex c >= 0 and sum c = 1, so |c|^2 <= 1
+    q = (n-1)k + 1, whose generating vector is v itself since (n-1)m is
+    even.  On the simplex c >= 0 and sum c = 1, so |c|^2 <= 1
     and A x^m >= min(0, lambda_min(M)).  The computed lambda_min is within
     e = 8 q^2 eps max |v| of the exact one (Weyl's inequality, the backward
     stability of ``eigvalsh`` and |M|_2 <= q max |v|), so
     lambda_min - e >= -cut proves that no simplex point is below -cut.
     """
-    mat = _square(assoc_matrix(a))
+    mat = _square(a.gen)
     q = mat.shape[0]
     low = float(np.linalg.eigvalsh(mat)[0])
     return low - 8.0 * q * q * np.finfo(float).eps * big >= -cut

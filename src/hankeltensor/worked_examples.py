@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .associated import _square, assoc_matrix, assoc_plane, count_s, is_strong
+from .associated import _square, assoc_plane, count_s, is_strong
 from .core import eval_form, hadamard, make_hankel
 from .plane import z_extremes
 from .spectra import bounds_prop6, bounds_prop7, copositive_falsify, zeig_extreme
@@ -60,7 +60,7 @@ def run_worked_examples():
     )
     check("form of B", worst_b <= 1e-12, f"max deviation {worst_b:.2e} from 6*x1^2*x2^2")
 
-    eigs = np.linalg.eigvalsh(_square(assoc_matrix(b)))
+    eigs = np.linalg.eigvalsh(_square(b.gen))
     spectrum_ok = np.allclose(np.sort(eigs), [-1.0, 1.0, 1.0], atol=1e-10)
     cert_b = is_strong(b)
     check(

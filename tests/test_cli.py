@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestPipelines:
         )
         assert code == 0
         got = json.loads(out)["gen"]
-        want = json.loads(open(src).read())["gen"]
+        want = json.loads(Path(src).read_text())["gen"]
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_assoc_matrix_and_plane(self, tmp_path, quartic, capsys):
@@ -322,6 +323,12 @@ class TestErrorPaths:
             main(["zeig", "x.json", "--mode", "sideways"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_zeig_has_no_seed_flag(self, quartic, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeig", quartic, "--mode", "max", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
