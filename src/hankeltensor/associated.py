@@ -13,7 +13,7 @@ entry, the last of its generating vector, and the tensor is strong iff some
 completion makes it PSD, which holds iff the minimal completion
 c* = b^T P^+ b does.  Strength is one eigenvalue test at every degree: the
 (minimally completed) matrix's smallest eigenvalue must be at least
-``-tol * max(1, max |v|)``.
+``-1e-10 * max(1, max |v|)``, the fixed cut that plane copositivity shares.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HankelTensor, _check_tol
+from .core import _VERDICT_CUT, HankelTensor
 
 _PLANE_DEGREE_CAP = 60
 
@@ -104,24 +104,23 @@ class StrongCertificate:
     violation_vector: Optional[np.ndarray]
 
 
-def is_strong(a, tol=1e-10):
+def is_strong(a):
     """Decide whether ``a`` is a strong Hankel tensor.
 
     One test decides at every degree: the smallest eigenvalue of the
     associated matrix must be at least ``-cut``, with
-    ``cut = tol * max(1, max |v|)``.  Even ``(n-1)*m``: the matrix is unique.
+    ``cut = 1e-10 * max(1, max |v|)``.  Even ``(n-1)*m``: the matrix is unique.
     Odd: M(c) = [[P, b], [b^T, c]] is tested at the minimal completion
     c* = sum_i bh_i^2 / lam_i over the eigenpairs (lam_i, V_i) of P with
     lam_i > cut, where bh = V^T b; some c makes M(c) PSD iff M(c*) is.  The
-    cut does not grow with c*, which reaches about 1/tol when P has an
+    cut does not grow with c*, which reaches about 1e10 when P has an
     eigenvalue just above the cut, so a large c* cannot mask an indefinite P.
     When not strong, the violation vector is the unit eigenvector of M's
     smallest eigenvalue, so z^T M z = min_eigenvalue < 0 for the reported
-    matrix.  ``tol`` must be finite and nonnegative.
+    matrix.  The cut is fixed; compare ``min_eigenvalue`` for another one.
     """
-    _check_tol(tol)
     big = float(np.max(np.abs(a.gen)))
-    cut = tol * max(1.0, big)
+    cut = _VERDICT_CUT * max(1.0, big)
     mat = _square(assoc_matrix(a).gen)
     completion = None
     if (a.dim - 1) * a.order % 2:

@@ -28,10 +28,9 @@ def _integer(name, value):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
-def _check_tol(tol):
-    """Refuse a tolerance that is not finite and nonnegative; NaN compares false."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+# The one cut of the strong and plane copositivity verdicts: a value counts
+# as negative below -_VERDICT_CUT * max(1, max |coefficient|).
+_VERDICT_CUT = 1e-10
 
 
 def _as_finite_vector(x, name):
@@ -170,7 +169,7 @@ def eval_form(a, x):
     so only m-1 coefficient convolutions are needed.
     """
     x = _check_x(a, x)
-    return float(np.dot(a.gen, _power_coeffs(x, a.order)))
+    return float(_no_overflow("the form", lambda: np.dot(a.gen, _power_coeffs(x, a.order))))
 
 
 def eval_gradient_form(a, x):
@@ -180,8 +179,9 @@ def eval_gradient_form(a, x):
     of the generating vector with the coefficients of p(t)^(m-1).
     """
     x = _check_x(a, x)
-    d = _power_coeffs(x, a.order - 1)
-    return np.correlate(a.gen, d, mode="valid")
+    return _no_overflow(
+        "the gradient form", lambda: np.correlate(a.gen, _power_coeffs(x, a.order - 1), mode="valid")
+    )
 
 
 def hadamard(a, b):

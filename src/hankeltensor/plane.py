@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .core import _check_tol, _forms
+from .core import _VERDICT_CUT, _forms
 
 
 def _plane(p):
@@ -33,21 +33,22 @@ class CopositivityReport:
     min_phi: float
 
 
-def copositive_check(p, tol=1e-10):
+def copositive_check(p):
     """Decide copositivity of a plane tensor, that is, of any tensor with dim 2.
 
-    One cutoff, cut = tol * max(1, max |p_k|), judges every examined point:
-    the plane is copositive iff phi >= -cut at each of them.  When an
-    endpoint value phi(0) = p_l or phi(1) = p_0 is below -cut, the examined
-    points are the two endpoints alone.  Otherwise they are the endpoints
-    and every interior critical point of phi, a root of phi', whose
-    Bernstein coefficients are the differences of b_k = p_(l-k).  The
-    witness is the examined point where phi is least.  ``tol`` must be
-    finite and nonnegative.
+    One fixed cutoff, cut = 1e-10 * max(1, max |p_k|), the one ``is_strong``
+    uses, judges every examined point: the plane is copositive iff
+    phi >= -cut at each of them.  When an endpoint value phi(0) = p_l or
+    phi(1) = p_0 is below -cut, the examined points are the two endpoints
+    alone.  Otherwise they are the endpoints and every interior critical
+    point of phi, a root of phi', whose Bernstein coefficients are the
+    differences of b_k = p_(l-k).  The witness is the examined point where
+    phi is least; compare ``min_phi`` for another cut.  ``copositive_falsify``
+    cuts 100 times finer, so on p = (1, -(1 + 1e-11), 1), min_phi = -5e-12,
+    this check says copositive and the falsifier returns a witness.
     """
-    _check_tol(tol)
     coeffs = _plane(p)[1]
-    cut = tol * max(1.0, float(np.max(np.abs(coeffs))))
+    cut = _VERDICT_CUT * max(1.0, float(np.max(np.abs(coeffs))))
     if min(coeffs[0], coeffs[-1]) < -cut:
         ts = np.array([0.0, 1.0])
         values = coeffs[[-1, 0]]

@@ -430,6 +430,9 @@ def copositive_falsify(a, depth=1):
     clearing the cut, proves the form at least -cut on the simplex; one
     from the budget proves nothing, and the three are not told apart.
     The cutoff grows with max |v|, as the rounding error of the form does.
+    It is 100 times finer than the cut of ``copositive_check``: on
+    v = (1, -(1 + 1e-11), 1) that check says copositive, with min_phi
+    = -5e-12, and this search returns the witness (1/2, 1/2) of that value.
     """
     depth = _integer("depth", depth)
     if depth < 1:

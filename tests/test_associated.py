@@ -179,16 +179,14 @@ class TestIsStrong:
         assert abs(cert.min_eigenvalue) <= 1e-14 * 1e160
 
     def test_infinite_completion_is_refused(self):
-        # with tol = 0 the eigenvalue 1e-310 of P is kept, and b_2^2 / 1e-310
-        # is beyond the float range
+        # P = diag(1e300, 2e290) clears the cut 1e290, and
+        # c* = (1e300)^2 / 2e290 = 5e309 is beyond the float range
         with pytest.raises(ValueError, match="^completion must be finite$"):
-            is_strong(make_hankel(3, 2, [1.0, 0.0, 1e-310, 1.0]), tol=0.0)
+            is_strong(make_hankel(3, 2, [1e300, 0.0, 2e290, 1e300]))
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-    def test_tol_must_be_finite_and_nonnegative(self, tol):
-        # nan would make every verdict "not strong", inf every verdict "strong"
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            is_strong(make_hankel(2, 2, [-1.0, 0.0, -1.0]), tol=tol)
+    def test_takes_no_tol(self):
+        with pytest.raises(TypeError):
+            is_strong(COUNTEREXAMPLE, tol=1e-10)
 
     def test_odd_case_range_failure(self):
         # P = [[0,0],[0,1]] is PSD but b = (1,0) misses range(P)

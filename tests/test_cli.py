@@ -1,11 +1,17 @@
 import json
+import re
+import runpy
+import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hankeltensor import worked_examples
-from hankeltensor.cli import main
+from hankeltensor.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -48,12 +54,6 @@ class TestBuildAndEval:
         code, out, _ = run(capsys, "eval", quartic, "--x", "1,1")
         assert code == 0
         assert out.strip() == "1"
-
-    def test_eval_digits(self, quartic, capsys):
-        # 15.0625 is exact in binary and %g rounds the trailing 5 half-to-even
-        code, out, _ = run(capsys, "eval", quartic, "--x", "0.5,2", "--digits", "5")
-        assert code == 0
-        assert out.strip() == "15.062"
 
     def test_eval_grad(self, quartic, capsys):
         code, out, _ = run(capsys, "eval", quartic, "--x", "1,0", "--grad")
@@ -289,13 +289,26 @@ class TestErrorPaths:
         code, _, err = run(capsys, "entry", quartic, "--idx", "1,a")
         assert code == 2 and "--idx expects a comma-separated list of integers" in err
 
-    def test_nonfinite_or_negative_tol_exits_2(self, tmp_path, capsys):
+    def test_verdicts_and_printouts_take_no_settings(self, tmp_path, capsys):
         path = write_tensor(tmp_path, "s.json", 2, 2, [1.0, 0.0, 1.0])
-        for tol in ("nan", "inf", "-1"):
-            code, out, err = run(capsys, "is-strong", path, "--tol", tol)
-            assert (code, out) == (2, "") and "tol must be finite and nonnegative" in err
-            code, out, err = run(capsys, "copositive-plane", "--p", "1,0,1", "--tol", tol)
-            assert (code, out) == (2, "") and "tol must be finite and nonnegative" in err
+        for argv in (
+            ["is-strong", path, "--tol", "1e-10"],
+            ["copositive-plane", "--p", "1,0,1", "--tol", "1e-10"],
+            ["eval", path, "--x", "1,1", "--digits", "5"],
+            ["entry", path, "--idx", "1,1", "--digits", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error:" in captured.err
+
+    def test_overflowing_form_exits_2(self, capsys, tmp_path):
+        path = write_tensor(tmp_path, "q.json", 4, 2, [1.0, 0.0, 1.0, 0.0, 1.0])
+        code, out, err = run(capsys, "eval", path, "--x", "1e100,1e100")
+        assert (code, out) == (2, "") and "the form overflows the float range" in err
+        code, out, err = run(capsys, "eval", path, "--x", "1e200,1e200", "--grad")
+        assert (code, out) == (2, "") and "the gradient form overflows the float range" in err
 
     def test_degree_past_the_root_engine_exits_2(self, tmp_path, capsys):
         gen = np.random.default_rng(0).uniform(0.5, 1.0, 1031)
@@ -335,3 +348,31 @@ class TestErrorPaths:
             main(["transmogrify"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestEntryPoints:
+    def test_python_dash_m_runs_main(self, tmp_path, monkeypatch, capsys):
+        # a fresh import, as under `python -m`: runpy warns when the module
+        # it runs as __main__ is already imported
+        monkeypatch.delitem(sys.modules, "hankeltensor.cli")
+        dest = tmp_path / "t.json"
+        for argv, code in (
+            (["build", "--order", "2", "--dim", "2", "--gen", "1,2,3", "-o", str(dest)], 0),
+            (["is-strong", str(tmp_path / "missing.json")], 2),
+        ):
+            monkeypatch.setattr(sys, "argv", ["hankel", *argv])
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("hankeltensor.cli", run_name="__main__")
+            assert exc.value.code == code
+        assert json.loads(dest.read_text())["gen"] == [1.0, 2.0, 3.0]
+        assert "error:" in capsys.readouterr().err
+
+    def test_readme_examples_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        lines = [
+            line for block in blocks for line in block.splitlines() if line.startswith("hankel ")
+        ]
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -195,6 +195,16 @@ def test_hadamard_algebra(rng):
         hadamard(a, random_hankel(rng, 2, 3))
 
 
+def test_form_overflow_is_refused():
+    # finite input whose terms pass the float range; a numpy warning would
+    # fail the suite before the ValueError
+    a = make_hankel(4, 2, [1.0, 0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="^the form overflows the float range$"):
+        eval_form(a, [1e100, 1e100])
+    with pytest.raises(ValueError, match="^the gradient form overflows the float range$"):
+        eval_gradient_form(a, [1e200, 1e200])
+
+
 def test_hadamard_overflow_is_refused():
     a = make_hankel(2, 2, [1e200, 1.0, 1.0])
     with pytest.raises(ValueError, match="^the Hadamard product overflows the float range$"):

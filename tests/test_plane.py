@@ -12,6 +12,8 @@ from hankeltensor import (
     assoc_plane,
     compose,
     copositive_check,
+    copositive_falsify,
+    eval_form,
     eval_gradient_form,
     from_measure,
     heig_dim2,
@@ -96,10 +98,20 @@ class TestCopositiveCheck:
         assert rep.is_copositive
         assert rep.min_phi == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-    def test_tol_must_be_finite_and_nonnegative(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            copositive_check(make_hankel(2, 2, [1.0, 0.0, 1.0]), tol=tol)
+    def test_takes_no_tol(self):
+        with pytest.raises(TypeError):
+            copositive_check(make_hankel(2, 2, [1.0, 0.0, 1.0]), tol=1e-10)
+
+    def test_falsify_cuts_finer_than_the_check(self):
+        # the check's cut is 1e-10, the falsifier's 1e-12: a form whose
+        # minimum lies between them is copositive to one, not to the other
+        p = make_hankel(2, 2, [1.0, -(1.0 + 1e-11), 1.0])
+        rep = copositive_check(p)
+        assert rep.is_copositive and -1e-10 < rep.min_phi < -1e-12
+        assert rep.min_phi == pytest.approx(-5e-12, rel=1e-6)
+        w = copositive_falsify(p)
+        assert w.tolist() == [0.5, 0.5]
+        assert eval_form(p, w) == rep.min_phi
 
     def test_scale_equivariance(self, rng):
         for _ in range(20):
@@ -157,7 +169,7 @@ class TestCopositiveCheck:
             l = int(rng.integers(2, 13))
             coeffs = rng.uniform(-0.2, 1, l + 1) * 10.0 ** rng.uniform(-3, 3)
             cut = 1e-10 * max(1.0, float(np.max(np.abs(coeffs))))
-            # endpoints on both sides of -cut and of -tol
+            # endpoints on both sides of -cut and of -1e-10
             coeffs[0] = -cut * 10.0 ** rng.uniform(-2, 1)
             if rng.uniform() < 0.5:
                 coeffs[-1] = -cut * 10.0 ** rng.uniform(-2, 1)
