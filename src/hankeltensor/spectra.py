@@ -2,17 +2,19 @@
 
 At order 2 the extreme Z-eigenpairs are the Hankel matrix's extreme
 eigenpairs, from one ``eigh``.  Above order 2 they are estimated by a shifted
-symmetric power iteration.  The shift adapts to the local curvature (the
-gradient's Jacobian is itself a small Hankel matrix, so it costs one extra
-correlation per step) and any step that would lower the Rayleigh value is
-rejected while the shift doubles toward a globally sufficient cap, so every
-start ascends monotonically.  At dim 2 the one start is the associated plane
-tensor's certified circle extreme lifted to the unit sphere (the point where
-the plane bound is taken).  At dim 3 and up the starts are the coordinate
-directions, that lifted plane extreme where the tensor has a plane, and the
-best-valued rows of one fixed, cached table of unit vectors, evaluated in
-one batch; the plane start makes the plane-derived bounds hold against the
-estimates by construction.  Each start climbs once, until its Rayleigh value
+symmetric power iteration.  The shift adapts to the local curvature: it is
+taken from the smaller eigenvalue of the gradient's Jacobian (itself a small
+Hankel matrix, from the same correlation as the gradient) restricted to the
+plane of the iterate and its gradient, which holds the whole step, a 2x2
+closed form with no eigensolver.  Any step that would lower the Rayleigh
+value is rejected while the shift doubles toward a globally sufficient cap,
+so every start ascends monotonically.  At dim 2 the one start is the
+associated plane tensor's certified circle extreme lifted to the unit sphere
+(the point where the plane bound is taken).  At dim 3 and up the starts are
+the coordinate directions, that lifted plane extreme where the tensor has a
+plane, and the best-valued rows of one fixed table of unit vectors, cached
+at its default size and evaluated in one batch; the plane start makes the
+plane-derived bounds hold against the estimates by construction.  Each start climbs once, until its Rayleigh value
 moves by at most max(1e-4 |lambda|, 1e-12 (1 + |lambda|)) in a step; the
 start of highest value alone then gets a Newton polish, which finishes the
 climb at quadratic rate.  ``converged`` is the returned pair's residual test.
@@ -29,6 +31,7 @@ which settles even-order strong tensors without subdivision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +56,8 @@ class EigenPair:
     vector: np.ndarray
     converged: bool = True
     residual: float = 0.0
+    steps: int = 0
+    rejected: int = 0
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,26 @@ def _grad_and_jacobian(work, x, outer_idx):
     w = np.correlate(work.gen, c, mode="valid")
     m_mat = w[outer_idx]
     return m_mat @ x, m_mat
+
+
+def _plane_low(m_mat, x, g, lam):
+    """The smaller eigenvalue of M restricted to span{x, g}, for unit x, g = M x and lam = x . g.
+
+    With t = g - lam x, tau = |t| and d = t / tau, the restriction in the
+    orthonormal basis (x, d) is [[lam, tau], [tau, delta]], delta = d . M d,
+    so its smaller eigenvalue is (lam + delta)/2 - hypot((lam - delta)/2, tau),
+    and lam itself when tau = 0.  By Cauchy interlacing it lies between
+    lambda_min(M) and lam; at dim 2 the plane is the whole space and it is
+    lambda_min(M).  |t| is taken by ``math.hypot``, which does not overflow
+    where the squares of the entries would.
+    """
+    t = g - lam * x
+    tau = math.hypot(*t.tolist())
+    if tau == 0.0:
+        return lam
+    d = t / tau
+    delta = float(d @ m_mat @ d)
+    return 0.5 * (lam + delta) - math.hypot(0.5 * (lam - delta), tau)
 
 
 @lru_cache(maxsize=8)
@@ -95,13 +120,21 @@ def _plane_lifts(order, dim, gen_bytes):
     return lifts
 
 
-@lru_cache(maxsize=8)
 def _scan_directions(dim, rows):
     """The scanned starts: ``rows`` standard-normal draws of ``default_rng(0)``, each normalised.
 
-    Built once per (dim, rows) and read-only; a longer table starts with
-    every shorter one, so ``restarts`` above 1024 only appends rows.
+    Read-only.  The default table of 1024 rows is built once per dim and
+    kept; a longer one, for ``restarts`` above 1024, is drawn per call and
+    not kept, since its starts cost far more than its draw.
+    ``standard_normal`` fills row by row, so every longer table starts with
+    the default one.
     """
+    draw = _normal_directions if rows == _SCAN_ROWS else _normal_directions.__wrapped__
+    return draw(dim, rows)
+
+
+@lru_cache(maxsize=8)
+def _normal_directions(dim, rows):
     table = np.random.default_rng(0).standard_normal((rows, dim))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
     table.flags.writeable = False
@@ -153,11 +186,16 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
 
     ``mode='min'`` works on -A.  At order 2 the pair is the extreme
     eigenpair of the Hankel matrix, from one ``eigh``.  Above order 2 it is
-    the shifted power iteration x <- normalize(A x^(m-1) + beta x), with beta
-    set from the smallest eigenvalue of the local Jacobian A x^(m-2) and
-    raised toward the always-sufficient cap (m-1) * sum_k s(k,m,n) |v_k|
-    whenever a step fails to increase the Rayleigh value, so the iterate
-    value never drops.  Its starts:
+    the shifted power iteration x <- normalize(A x^(m-1) + beta x), with
+    beta = (m-1) * max(0, -mu) + 1e-9 * (1 + sum_k s(k,m,n) |v_k|), where mu
+    is the smaller eigenvalue of M = A x^(m-2) restricted to span{x, A x^(m-1)},
+    the plane that holds the step.  By Cauchy interlacing
+    lambda_min(M) <= mu <= lambda, so this shift is never larger than one
+    from lambda_min(M).  beta is raised toward the always-sufficient cap
+    (m-1) * sum_k s(k,m,n) |v_k| whenever a step fails to increase the
+    Rayleigh value, so the iterate value never drops.  ``steps`` counts the
+    power steps over all starts, rejected ones included, and ``rejected``
+    the rejected ones; the polish is not counted.  Its starts:
 
     - dim 2: the lifted circle extreme of the mode alone, which no other
       start can beat; at dim 2 above order 1023 the circle extremes, and so
@@ -216,29 +254,33 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
         table = _scan_directions(a.dim, max(_SCAN_ROWS, restarts))
         starts.extend(table[np.argsort(-_forms(work, table), kind="stable")[:restarts]])
 
+    steps = rejected = 0
+
     def ascend(x):
         """Power steps from ``x`` until |step| <= max(1e-4 |lambda|, 1e-12 (1 + |lambda|)).
 
         A step whose norm is zero or overflows, or the end of ``iters``
         steps, also ends the start.  Returns (lambda, x, A x^(m-1)).
-        ``beta`` is None where the shift is due from ``m_mat``, so a start
-        that stops pays no ``eigvalsh`` it does not use.
+        ``beta`` is None where the shift is due from the plane of x and
+        A x^(m-1), so a start that stops pays for no shift it does not use.
         """
+        nonlocal steps, rejected
         x = x / np.linalg.norm(x)
         g, m_mat = _grad_and_jacobian(work, x, outer_idx)
         lam, beta = float(np.dot(x, g)), None
         for _ in range(iters):
             if beta is None:
-                low = float(np.linalg.eigvalsh(m_mat)[0])
-                beta = (a.order - 1) * max(0.0, -low) + beta_pad
+                beta = (a.order - 1) * max(0.0, -_plane_low(m_mat, x, g, lam)) + beta_pad
             y = g + beta * x
-            nrm = float(np.linalg.norm(y))
-            if not 1e-300 <= nrm < np.inf:
+            nrm = math.hypot(*y.tolist())
+            if not 1e-300 <= nrm < math.inf:
                 break
             x_new = y / nrm
             g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
             lam_new = float(np.dot(x_new, g_new))
+            steps += 1
             if lam_new < lam - 1e-14 * (1.0 + abs(lam)) and beta < beta_cap:
+                rejected += 1
                 beta = min(max(2.0 * beta, 1e-6 * (1.0 + scale)), beta_cap)
                 continue
             step = abs(lam_new - lam)
@@ -247,7 +289,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
                 break
         return lam, x, g
 
-    # a step whose norm overflows ends its start (the guard in ascend), so its
+    # a step that overflows ends its start (the guard in ascend), so its
     # overflow warning is silenced, by one errstate per call, not per step;
     # max keeps the first start of highest lambda
     with np.errstate(over="ignore"):
@@ -257,7 +299,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
     if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):
         x, lam, residual = x_p, lam_p, residual_p
     converged = residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam))
-    return EigenPair("Z", sign * lam, x, converged, residual)
+    return EigenPair("Z", sign * lam, x, converged, residual, steps, rejected)
 
 
 def heig_dim2(a):

@@ -237,6 +237,7 @@ class TestEigenCommands:
         assert doc["kind"] == "Z"
         assert doc["value"] == pytest.approx(0.25, abs=1e-8)
         assert doc["converged"] is True
+        assert doc["steps"] > 0 and 0 <= doc["rejected"] <= doc["steps"]
 
     def test_heig2(self, tmp_path, capsys):
         path = write_tensor(tmp_path, "c.json", 3, 2, [1.0, 1.0, 1.0, 1.0])

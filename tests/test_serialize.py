@@ -88,6 +88,7 @@ class TestOneWayForms:
         assert doc["vector"] == [0.5, -0.5]
         assert doc["converged"] is True
         assert doc["residual"] == 1e-12
+        assert doc["steps"] == doc["rejected"] == 0
         json.dumps(doc)
 
     def test_report(self):

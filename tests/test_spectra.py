@@ -465,38 +465,119 @@ class TestZeig:
             for iters in range(1, 7):
                 for mode in ("min", "max"):
                     count[:] = [0, 0]
-                    zeig_extreme(a, mode, restarts=4, iters=iters)
+                    pair = zeig_extreme(a, mode, restarts=4, iters=iters)
                     steps = count[0] - count[1] - starts
                     assert 0 <= steps <= starts * iters, (order, dim, iters, mode, steps)
+                    assert pair.steps == steps
 
     def test_rejected_step_escalates_the_shift(self, monkeypatch):
-        # a Jacobian reported PSD once leaves the first start's first power
-        # step on the pad alone; on this tensor that step lowers the value
-        # from 0.61 to -0.07, so it must be rejected and retried on doubled
-        # shifts, with no fresh eigvalsh, until the value no longer drops
+        # a start Jacobian of curvature far above the value puts the plane's
+        # Ritz value near lambda > 0, which leaves the first start's first
+        # power step on the pad alone; on this tensor that step lowers the
+        # value from 0.61 to -0.07, so it must be rejected and retried on
+        # doubled shifts, with no fresh shift, until the value no longer drops
         a = make_hankel(4, 3, np.random.default_rng(5).uniform(-1, 1, 9))
-        log = []
-        grad, eigvalsh = spectra._grad_and_jacobian, np.linalg.eigvalsh
+        log, lows = [], []
+        grad, plane_low = spectra._grad_and_jacobian, spectra._plane_low
 
         def recording(work, x, outer_idx):
             g, m_mat = grad(work, x, outer_idx)
             log.append(float(x @ g))
+            if len(log) == 1:
+                m_mat = m_mat + 1e6 * np.eye(len(x))
             return g, m_mat
 
-        def psd_once(m_mat):
+        def shifting(*args):
             log.append("shift")
-            return np.zeros(len(m_mat)) if log.count("shift") == 1 else eigvalsh(m_mat)
+            lows.append(plane_low(*args))
+            return lows[-1]
 
         monkeypatch.setattr(spectra, "_grad_and_jacobian", recording)
-        monkeypatch.setattr(np.linalg, "eigvalsh", psd_once)
+        monkeypatch.setattr(spectra, "_plane_low", shifting)
         pair = zeig_extreme(a, "max")
         # the start's value, its pad-only shift, then every step taken before
         # the next shift: the rejected ones and the one accepted
         start, shift, *steps = log[: log.index("shift", 2)]
-        assert shift == "shift" and steps[0] < start - 0.5
+        assert shift == "shift" and lows[0] > 0.0
+        assert steps[0] < start - 0.5
         assert len(steps) > 1
         assert steps[-1] >= start - 1e-14 * (1.0 + abs(start))
         assert pair.converged and pair.value >= start
+        assert pair.rejected >= len(steps) - 1
+
+    def test_no_eigvalsh_above_order_2(self, monkeypatch, rng):
+        # the shift comes from the 2x2 restriction to span{x, A x^(m-1)}
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh in zeig_extreme")
+
+        cases = [random_hankel(rng, order, dim) for order, dim in ((3, 2), (4, 2), (3, 3), (4, 4), (5, 3), (3, 5))]
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for a in cases:
+            for mode in ("min", "max"):
+                assert zeig_extreme(a, mode, restarts=4).steps > 0
+
+    def test_plane_ritz_value_is_interlaced(self, rng):
+        # lambda_min(M) <= mu <= x . M x for the restriction of M to
+        # span{x, M x}; at dim 2 the plane is R^2 and mu is lambda_min(M)
+        for dim in (2, 3, 4, 5, 6):
+            i = np.arange(dim)
+            for _ in range(200):
+                m_mat = rng.uniform(-1, 1, 2 * dim - 1)[i[:, None] + i[None, :]] * 10.0 ** rng.uniform(-3, 3)
+                x = rng.standard_normal(dim)
+                x /= np.linalg.norm(x)
+                g = m_mat @ x
+                lam = float(x @ g)
+                mu = spectra._plane_low(m_mat, x, g, lam)
+                low = np.linalg.eigvalsh(m_mat)[0]
+                size = np.linalg.norm(m_mat, 2)
+                assert low - 1e-12 * size <= mu <= lam
+                if dim == 2:
+                    assert mu <= low + 1e-12 * size
+            # an eigenvector spans no plane with M x: mu is its eigenvalue
+            x = np.eye(dim)[1]
+            assert spectra._plane_low(np.diag(np.arange(1.0, dim + 1)), x, 2.0 * x, 2.0) == 2.0
+
+    # power steps per call with the shift from the smallest eigenvalue of
+    # A x^(m-2) in place of the plane's Ritz value: (order, dim, seed, mode) -> steps
+    EIGVALSH_SHIFT_STEPS = {
+        (4, 4, 44, "min"): 213, (4, 4, 44, "max"): 445,
+        (4, 4, 45, "min"): 254, (4, 4, 45, "max"): 106,
+        (4, 4, 46, "min"): 365, (4, 4, 46, "max"): 226,
+        (3, 5, 35, "min"): 582, (3, 5, 35, "max"): 711,
+        (3, 5, 36, "min"): 363, (3, 5, 36, "max"): 417,
+        (3, 5, 37, "min"): 353, (3, 5, 37, "max"): 290,
+    }
+
+    def test_plane_shift_takes_fewer_steps(self):
+        # the Ritz value is never below lambda_min(A x^(m-2)), so the shift is
+        # never larger; over these calls it takes at most 0.7 of the steps
+        total = 0
+        for (order, dim, seed, mode), before in self.EIGVALSH_SHIFT_STEPS.items():
+            gen = np.random.default_rng(seed).uniform(-1, 1, (dim - 1) * order + 1)
+            pair = zeig_extreme(make_hankel(order, dim, gen), mode)
+            assert pair.converged
+            assert 0 < pair.steps <= before, (order, dim, seed, mode, pair.steps)
+            assert 0 <= pair.rejected <= pair.steps
+            total += pair.steps
+        assert total <= 0.7 * sum(self.EIGVALSH_SHIFT_STEPS.values())
+        # order 2 and dim-2 H-eigenpairs take no power step
+        assert zmax(make_hankel(2, 3, np.arange(5.0))).steps == 0
+        assert all(p.steps == p.rejected == 0 for p in heig_dim2(make_hankel(3, 2, [1.0, 0.5, -1.0, 2.0])))
+
+    @pytest.mark.parametrize("order,dim", [(3, 3), (4, 3), (4, 4), (6, 3), (3, 5)])
+    def test_scaled_tensor_gives_the_scaled_extremes(self, order, dim):
+        # at 1e200 the squares of the entries overflow a float, so a step
+        # norm that squares them would end every start before its first step
+        # and leave the answer to the polish; hypot does not square them
+        for seed in range(10):
+            v = np.random.default_rng([order, dim, seed]).uniform(-1, 1, (dim - 1) * order + 1)
+            for mode in ("min", "max"):
+                want = zeig_extreme(make_hankel(order, dim, v), mode, restarts=4, iters=300)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = zeig_extreme(make_hankel(order, dim, 1e200 * v), mode, restarts=4, iters=300)
+                assert abs(got.value / 1e200 - want.value) <= 1e-12 * (1.0 + abs(want.value))
+                assert got.converged == want.converged
 
     @pytest.mark.parametrize("failure", ["singular", "nan", "zero step"])
     def test_failed_polish_returns_the_unpolished_winner(self, monkeypatch, failure):
@@ -531,10 +612,12 @@ class TestZeig:
     def test_unique_winner_matches_the_full_stall_bytes(self):
         # values recorded with float.hex at commit b210ea4, where every start
         # ran to the 1e-12 stall; the Newton polish reaches the same bytes
-        # from where the winner now stops
+        # from where the winner now stops.  The dim-2 case was re-recorded
+        # when the shift came from the plane's Ritz value: its value moved
+        # by 2 ulps
         cases = [
-            (5, 2, 7, "min", {}, "-0x1.a17c261a37c1ap+0", "0x1.0000000000000p-51",
-             ["-0x1.d19001f2a7ec1p-1", "-0x1.aa1fe1dc24710p-2"]),
+            (5, 2, 7, "min", {}, "-0x1.a17c261a37c1cp+0", "0x1.0000000000000p-53",
+             ["-0x1.d19001f2a7ec2p-1", "-0x1.aa1fe1dc24710p-2"]),
             # one start reaches 6.7987; the next best stops at 2.9380
             (5, 3, 5, "max", {"restarts": 1}, "0x1.b31d367098a92p+2", "0x1.0000000000000p-50",
              ["-0x1.0bed2c7085f65p-1", "-0x1.37996421629f0p-1", "-0x1.3164cec37ec74p-1"]),
@@ -579,6 +662,19 @@ class TestZeig:
             # more restarts than rows only appends rows to the same draw
             longer = spectra._scan_directions(dim, 1100)
             assert longer[:1024].tobytes() == table.tobytes()
+
+    def test_only_the_default_scan_table_is_cached(self):
+        # a longer table is drawn per call, its first 1024 rows the default's
+        spectra._normal_directions.cache_clear()
+        default = spectra._scan_directions(5, 1024)
+        for rows in (50_000, 100_000, 150_000):
+            table = spectra._scan_directions(5, rows)
+            assert table.shape == (rows, 5) and not table.flags.writeable
+            assert table[:1024].tobytes() == default.tobytes()
+        a = make_hankel(3, 5, np.linspace(-1.0, 1.0, 13))
+        zeig_extreme(a, "max", restarts=1100, iters=1)
+        info = spectra._normal_directions.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
 
     def test_seed_is_not_an_argument(self):
         a = make_hankel(3, 3, np.linspace(-1, 1, 7))
