@@ -87,13 +87,20 @@ def assoc_matrix(a, completion=None):
     return HankelTensor(2, q, np.append(a.gen, c))
 
 
+@lru_cache(maxsize=64)
+def _hankel_index(q):
+    """The read-only q x q table of i + j, the index of a dense Hankel matrix."""
+    idx = np.add.outer(np.arange(q), np.arange(q))
+    idx.flags.writeable = False
+    return idx
+
+
 def _square(gen):
     """Dense q x q array of the Hankel matrix with generating vector ``gen``, of odd length 2q - 1.
 
     Entry (i, j) is gen[i + j].
     """
-    i = np.arange((len(gen) + 1) // 2)
-    return gen[i[:, None] + i]
+    return gen[_hankel_index((len(gen) + 1) // 2)]
 
 
 @dataclass(frozen=True)

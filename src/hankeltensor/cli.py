@@ -255,7 +255,7 @@ def build_parser():
         "--restarts",
         type=int,
         default=20,
-        help="scanned starts at dim 3 and up (default 20); no effect at order 2 or dim 2",
+        help="scanned starts at dim 3 and up, 1..1024 (default 20); no effect at order 2 or dim 2",
     )
     p.add_argument("--iters", type=int, default=500, help="power steps per start (default 500)")
     opt_output(p)

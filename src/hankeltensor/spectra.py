@@ -12,9 +12,9 @@ so every start ascends monotonically.  At dim 2 the one start is the
 associated plane tensor's certified circle extreme lifted to the unit sphere
 (the point where the plane bound is taken).  At dim 3 and up the starts are
 the coordinate directions, that lifted plane extreme where the tensor has a
-plane, and the best-valued rows of one fixed table of unit vectors, cached
-at its default size and evaluated in one batch; the plane start makes the
-plane-derived bounds hold against the estimates by construction.  Each start climbs once, until its Rayleigh value
+plane, and the best-valued rows of one fixed, cached table of 1024 unit
+vectors, evaluated in one batch; the plane start makes the plane-derived
+bounds hold against the estimates by construction.  Each start climbs once, until its Rayleigh value
 moves by at most max(1e-4 |lambda|, 1e-12 (1 + |lambda|)) in a step; the
 start of highest value alone then gets a Newton polish, which finishes the
 climb at quadratic rate.  ``converged`` is the returned pair's residual test.
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import polyroots
 from .associated import _has_plane, _square, assoc_plane
-from .core import HankelTensor, _contract, _forms, _integer, _power_coeffs, eval_form, eval_gradient_form
+from .core import HankelTensor, _contract, _integer, _power_coeffs, eval_form
 from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
@@ -67,15 +67,13 @@ class ZBounds:
     source: str
 
 
-def _grad_and_jacobian(work, x, outer_idx):
-    """A x^(m-1) together with the Hankel matrix M = A x^(m-2).
+def _grad_and_jacobian(gen, order, x):
+    """A x^(m-1) together with the Hankel matrix M = A x^(m-2), for A of generating vector ``gen``.
 
     M x equals the gradient form and (m-1) M is its Jacobian, so one sliding
     correlation yields the step direction and the local curvature at once.
     """
-    c = _power_coeffs(x, work.order - 2)
-    w = np.correlate(work.gen, c, mode="valid")
-    m_mat = w[outer_idx]
+    m_mat = _square(np.correlate(gen, _power_coeffs(x, order - 2), mode="valid"))
     return m_mat @ x, m_mat
 
 
@@ -120,50 +118,39 @@ def _plane_lifts(order, dim, gen_bytes):
     return lifts
 
 
-def _scan_directions(dim, rows):
-    """The scanned starts: ``rows`` standard-normal draws of ``default_rng(0)``, each normalised.
-
-    Read-only.  The default table of 1024 rows is built once per dim and
-    kept; a longer one, for ``restarts`` above 1024, is drawn per call and
-    not kept, since its starts cost far more than its draw.
-    ``standard_normal`` fills row by row, so every longer table starts with
-    the default one.
-    """
-    draw = _normal_directions if rows == _SCAN_ROWS else _normal_directions.__wrapped__
-    return draw(dim, rows)
-
-
 @lru_cache(maxsize=8)
-def _normal_directions(dim, rows):
-    table = np.random.default_rng(0).standard_normal((rows, dim))
+def _scan_directions(dim):
+    """The 1024 scanned starts: normalised standard-normal draws of ``default_rng(0)``, read-only."""
+    table = np.random.default_rng(0).standard_normal((_SCAN_ROWS, dim))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
     table.flags.writeable = False
     return table
 
 
-def _rayleigh(work, x):
+def _rayleigh(gen, order, x):
     """The Rayleigh value x . A x^(m-1) and the residual max |A x^(m-1) - lam x|."""
-    g = eval_gradient_form(work, x)
+    g = np.correlate(gen, _power_coeffs(x, order - 1), mode="valid")
     lam = float(np.dot(x, g))
     return lam, float(np.max(np.abs(g - lam * x)))
 
 
-def _newton_polish(work, x, lam, outer_idx):
+def _newton_polish(gen, order, x, lam):
     """Newton steps on [A x^(m-1) - lam x; (|x|^2 - 1)/2] = 0.
 
     The power iteration's Rayleigh values converge fast but the vector can
     creep when the eigen-gap is small; up to eight Newton steps land on the
-    nearby stationary point at quadratic rate.
+    nearby stationary point at quadratic rate.  A step to 0 or past the
+    float range ends the polish at the last x.
     """
-    n = work.dim
+    n = len(x)
     eye = np.eye(n)
     for _ in range(_NEWTON_STEPS):
-        g, m_mat = _grad_and_jacobian(work, x, outer_idx)
+        g, m_mat = _grad_and_jacobian(gen, order, x)
         f = np.concatenate([g - lam * x, [0.5 * (float(x @ x) - 1.0)]])
         if float(np.max(np.abs(f))) <= 1e-15 * (1.0 + abs(lam)):
             break
         jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = (work.order - 1) * m_mat - lam * eye
+        jac[:n, :n] = (order - 1) * m_mat - lam * eye
         jac[:n, n] = -x
         jac[n, :n] = x
         try:
@@ -172,13 +159,12 @@ def _newton_polish(work, x, lam, outer_idx):
             break
         if not np.all(np.isfinite(delta)):
             break
-        x = x + delta[:n]
-        lam = lam + float(delta[n])
-        nrm = float(np.linalg.norm(x))
+        y = x + delta[:n]
+        nrm = float(np.linalg.norm(y))
         if not 1e-300 <= nrm < np.inf:
             break
-        x = x / nrm
-    return (x, *_rayleigh(work, x))
+        x, lam = y / nrm, lam + float(delta[n])
+    return (x, *_rayleigh(gen, order, x))
 
 
 def zeig_extreme(a, mode, restarts=20, iters=500):
@@ -203,10 +189,11 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
     - dim 3 and up: the coordinate vectors; the lifted plane extreme of the
       mode when the plane degree (dim-1)*order is within the cap; and the
       ``restarts`` best-valued rows (the first on ties) of one fixed table of
-      max(1024, restarts) unit vectors, the normalised standard-normal draws
-      of ``default_rng(0)``, evaluated in one batch.
+      1024 unit vectors, the normalised standard-normal draws of
+      ``default_rng(0)``, evaluated in one batch.
 
-    ``restarts`` has no effect at order 2 or at dim 2.  Each
+    ``restarts`` must be in 1..1024 and has no effect at order 2 or at
+    dim 2.  Each
     start climbs once: it stops at the first accepted step whose value moves
     by at most max(1e-4 * |lambda|, 1e-12 * (1 + |lambda|)), at a step whose
     norm is zero or overflows, or after ``iters`` power steps per start,
@@ -217,17 +204,19 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
     returned pair's residual test, residual <= 1e-8 * (1 + |lambda|).  A cap
     sum that overflows a float is refused with a ``ValueError``, at order 2
     too; with |v| <= 1 that takes order 647 or more at dim 3.  Within the
-    caps ``converged`` can be False at high order: for
-    v = default_rng(m).uniform(-1, 1, 2m + 1) at dim 3, max mode,
-    restarts=4 and iters=300, orders 100 and 150 converge, while orders 200
-    and 300 end with relative residuals of 5.4% and 5.5%.
+    caps ``converged`` can be False at high order.  With
+    v = default_rng([m, n, s]).uniform(-1, 1, (n-1)m + 1), max mode,
+    restarts=4, iters=300, m in {20, 50, 100, 150, 200, 250, 300}, n in
+    {3, 4} and s in 0..2, 19 of the 42 calls end unconverged, the first at
+    (m, n) = (50, 4) with a relative residual of 0.42; some seed fails at
+    n = 4 for every m from 50 on, and at n = 3 for m = 200, 250 and 300.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     restarts = _integer("restarts", restarts)
     iters = _integer("iters", iters)
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if not 1 <= restarts <= _SCAN_ROWS:
+        raise ValueError(f"restarts must be in 1..{_SCAN_ROWS}")
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
@@ -236,23 +225,22 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
         x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
         starts.append(x_max if mode == "max" else x_min)
 
-    scale = float(np.dot(_power_coeffs(np.ones(a.dim), a.order), np.abs(a.gen)))
+    with np.errstate(over="ignore"):
+        scale = float(np.dot(_power_coeffs(np.ones(a.dim), a.order), np.abs(a.gen)))
     if not np.isfinite(scale):
         raise ValueError(f"the shift scale overflows at order {a.order}, dim {a.dim}")
     sign = 1.0 if mode == "max" else -1.0
-    work = HankelTensor(a.order, a.dim, sign * np.asarray(a.gen))
-    beta_cap = (a.order - 1) * scale + 1e-12
+    gen, order = sign * a.gen, a.order
+    beta_cap = (order - 1) * scale + 1e-12
     beta_pad = 1e-9 * (1.0 + scale)
-    idx = np.arange(a.dim)
-    outer_idx = idx[:, None] + idx[None, :]
-    if a.order == 2:
+    if order == 2:
         # a Hankel matrix, whose Z-eigenpairs are its eigenpairs
-        x = np.linalg.eigh(work.gen[outer_idx])[1][:, -1]
-        lam, residual = _rayleigh(work, x)
+        x = np.linalg.eigh(_square(gen))[1][:, -1]
+        lam, residual = _rayleigh(gen, order, x)
         return EigenPair("Z", sign * lam, x, residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam)), residual)
     if a.dim > 2:
-        table = _scan_directions(a.dim, max(_SCAN_ROWS, restarts))
-        starts.extend(table[np.argsort(-_forms(work, table), kind="stable")[:restarts]])
+        table = _scan_directions(a.dim)
+        starts.extend(table[np.argsort(-_contract(gen, table, order)[0], kind="stable")[:restarts]])
 
     steps = rejected = 0
 
@@ -266,17 +254,17 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
         """
         nonlocal steps, rejected
         x = x / np.linalg.norm(x)
-        g, m_mat = _grad_and_jacobian(work, x, outer_idx)
+        g, m_mat = _grad_and_jacobian(gen, order, x)
         lam, beta = float(np.dot(x, g)), None
         for _ in range(iters):
             if beta is None:
-                beta = (a.order - 1) * max(0.0, -_plane_low(m_mat, x, g, lam)) + beta_pad
+                beta = (order - 1) * max(0.0, -_plane_low(m_mat, x, g, lam)) + beta_pad
             y = g + beta * x
             nrm = math.hypot(*y.tolist())
             if not 1e-300 <= nrm < math.inf:
                 break
             x_new = y / nrm
-            g_new, m_new = _grad_and_jacobian(work, x_new, outer_idx)
+            g_new, m_new = _grad_and_jacobian(gen, order, x_new)
             lam_new = float(np.dot(x_new, g_new))
             steps += 1
             if lam_new < lam - 1e-14 * (1.0 + abs(lam)) and beta < beta_cap:
@@ -295,7 +283,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
     with np.errstate(over="ignore"):
         lam, x, g = max((ascend(x0) for x0 in starts), key=lambda r: r[0])
     residual = float(np.max(np.abs(g - lam * x)))
-    x_p, lam_p, residual_p = _newton_polish(work, x, lam, outer_idx)
+    x_p, lam_p, residual_p = _newton_polish(gen, order, x, lam)
     if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):
         x, lam, residual = x_p, lam_p, residual_p
     converged = residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam))

@@ -332,6 +332,14 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert "shift scale overflows at order 660, dim 3" in err
 
+    def test_zeig_restarts_beyond_the_scan_table_exit_2(self, tmp_path, capsys):
+        path = write_tensor(tmp_path, "t.json", 3, 5, np.linspace(-1.0, 1.0, 13))
+        code, out, err = run(capsys, "zeig", path, "--mode", "max", "--restarts", "1025")
+        assert (code, out) == (2, "")
+        assert "restarts must be in 1..1024" in err
+        code, out, _ = run(capsys, "zeig", path, "--mode", "max", "--restarts", "1024", "--iters", "1")
+        assert code == 0 and json.loads(out)["steps"] > 0
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zeig", "x.json", "--mode", "sideways"])

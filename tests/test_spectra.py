@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -480,8 +481,8 @@ class TestZeig:
         log, lows = [], []
         grad, plane_low = spectra._grad_and_jacobian, spectra._plane_low
 
-        def recording(work, x, outer_idx):
-            g, m_mat = grad(work, x, outer_idx)
+        def recording(gen, order, x):
+            g, m_mat = grad(gen, order, x)
             log.append(float(x @ g))
             if len(log) == 1:
                 m_mat = m_mat + 1e6 * np.eye(len(x))
@@ -579,17 +580,30 @@ class TestZeig:
                 assert abs(got.value / 1e200 - want.value) <= 1e-12 * (1.0 + abs(want.value))
                 assert got.converged == want.converged
 
-    @pytest.mark.parametrize("failure", ["singular", "nan", "zero step"])
-    def test_failed_polish_returns_the_unpolished_winner(self, monkeypatch, failure):
+    @pytest.mark.parametrize(
+        "failure,negative",
+        [
+            pytest.param("singular", False, id="singular"),
+            pytest.param("nan", False, id="nan"),
+            pytest.param("zero step", False, id="zero step"),
+            pytest.param("zero step", True, id="zero step, negative max"),
+        ],
+    )
+    def test_failed_polish_returns_the_unpolished_winner(self, monkeypatch, failure, negative):
         # the polish stops at its first failed Newton step: a singular
-        # system, a non-finite step, or a step to the zero vector
-        a = make_hankel(4, 3, np.random.default_rng(5).uniform(-1, 1, 9))
+        # system, a non-finite step, or a step to the zero vector.  The
+        # negative case has its maximum at -0.00552, so a zero vector, of
+        # value 0 and residual 0, would pass the polish's acceptance test
+        if negative:
+            a = make_hankel(4, 3, -from_measure(DiscreteMeasure([0.3, -0.5, 0.9], [1, 1, 0.5]), 4, 3).gen - 0.01)
+        else:
+            a = make_hankel(4, 3, np.random.default_rng(5).uniform(-1, 1, 9))
         winners, solves = [], []
         polish = spectra._newton_polish
 
-        def recording(work, x, lam, outer_idx):
+        def recording(gen, order, x, lam):
             winners.append(x)
-            return polish(work, x, lam, outer_idx)
+            return polish(gen, order, x, lam)
 
         def failing(jac, rhs):
             solves.append(1)
@@ -607,6 +621,7 @@ class TestZeig:
             pair = zeig_extreme(a, "max")
         assert len(solves) == 1
         assert pair.vector.tobytes() == winners[0].tobytes()
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
         assert pair.converged == (pair.residual <= 1e-8 * (1.0 + abs(pair.value)))
 
     def test_unique_winner_matches_the_full_stall_bytes(self):
@@ -643,6 +658,10 @@ class TestZeig:
         a = make_hankel(660, 3, np.random.default_rng(660).uniform(-1, 1, 1321))
         with pytest.raises(ValueError, match="shift scale overflows at order 660, dim 3"):
             zeig_extreme(a, "max")
+        # entries near the float limit overflow the sum at low order, with no warning first
+        a = make_hankel(6, 3, 1e306 * np.random.default_rng(1).uniform(-1, 1, 13))
+        with pytest.raises(ValueError, match="shift scale overflows at order 6, dim 3"):
+            zeig_extreme(a, "max")
 
     def test_deterministic(self):
         a = make_hankel(3, 3, np.linspace(-1, 1, 7))
@@ -653,28 +672,21 @@ class TestZeig:
 
     def test_scan_table_is_one_fixed_read_only_draw(self):
         for dim in (3, 5):
-            table = spectra._scan_directions(dim, 1024)
-            assert spectra._scan_directions(dim, 1024) is table
+            table = spectra._scan_directions(dim)
+            assert spectra._scan_directions(dim) is table
             assert not table.flags.writeable
             want = np.random.default_rng(0).standard_normal((1024, dim))
             want /= np.linalg.norm(want, axis=1, keepdims=True)
             assert table.tobytes() == want.tobytes()
-            # more restarts than rows only appends rows to the same draw
-            longer = spectra._scan_directions(dim, 1100)
-            assert longer[:1024].tobytes() == table.tobytes()
 
-    def test_only_the_default_scan_table_is_cached(self):
-        # a longer table is drawn per call, its first 1024 rows the default's
-        spectra._normal_directions.cache_clear()
-        default = spectra._scan_directions(5, 1024)
-        for rows in (50_000, 100_000, 150_000):
-            table = spectra._scan_directions(5, rows)
-            assert table.shape == (rows, 5) and not table.flags.writeable
-            assert table[:1024].tobytes() == default.tobytes()
+    def test_restarts_beyond_the_table_are_refused(self):
+        # the scan table has 1024 rows; more restarts are refused before any work
         a = make_hankel(3, 5, np.linspace(-1.0, 1.0, 13))
-        zeig_extreme(a, "max", restarts=1100, iters=1)
-        info = spectra._normal_directions.cache_info()
-        assert (info.currsize, info.misses) == (1, 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"restarts must be in 1\.\.1024"):
+            zeig_extreme(a, "max", restarts=1025)
+        assert time.perf_counter() - start < 0.1
+        assert zeig_extreme(a, "max", restarts=1024, iters=1).steps > 0
 
     def test_seed_is_not_an_argument(self):
         a = make_hankel(3, 3, np.linspace(-1, 1, 7))
@@ -820,7 +832,7 @@ class TestHeigDim2:
         def refuse(*args):
             raise AssertionError("eval_gradient_form called")
 
-        monkeypatch.setattr(spectra, "eval_gradient_form", refuse)
+        monkeypatch.setattr(spectra, "eval_gradient_form", refuse, raising=False)
         for a, vectors in zip(cases, want):
             assert sorted(p.vector.tobytes() for p in heig_dim2(a)) == sorted(vectors)
 
