@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _VERDICT_CUT, HankelTensor
+from .core import _VERDICT_CUT, HankelTensor, _built
 
 _PLANE_DEGREE_CAP = 60
 
@@ -172,7 +172,7 @@ def assoc_plane(a):
         raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
     if a.dim == 2:
         return a
-    return HankelTensor(top, 2, _plane_weights(a.order, a.dim) * a.gen)
+    return _built(HankelTensor, top, 2, _plane_weights(a.order, a.dim) * a.gen)
 
 
 def copositive_necessary(a):

@@ -155,7 +155,7 @@ def bernstein_roots(b):
     if l < 1:
         return []
     e, terms = _scaled_terms(b)
-    if not np.any(b):
+    if not b.any():
         return []
     gamma = (l + 2) * _EPS
     left, right = _halving(l)
@@ -163,8 +163,9 @@ def bernstein_roots(b):
     stack = [(0.0, 1.0, b, _EPS * np.abs(b))]
     while stack:
         lo, hi, c, err = stack.pop()
-        signed = np.abs(c) > err
-        if not np.any(signed) or hi - lo < _MIN_WIDTH:
+        mag = np.abs(c)
+        signed = mag > err
+        if not signed.any() or hi - lo < _MIN_WIDTH:
             found.append((lo, hi))
             continue
         signs = c[signed] > 0.0
@@ -176,7 +177,7 @@ def bernstein_roots(b):
             found.append((t, t))
             continue
         mid = 0.5 * (lo + hi)
-        err = err + gamma * np.abs(c)
+        err = err + gamma * mag
         cl, el = left @ c, left @ err
         if abs(cl[-1]) <= el[-1]:
             found.append((mid, mid))

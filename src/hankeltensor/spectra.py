@@ -127,6 +127,14 @@ def _scan_directions(dim):
     return table
 
 
+@lru_cache(maxsize=8)
+def _scan_values(order, dim, gen_bytes):
+    """The form at the 1024 scanned starts, memoised per tensor (read-only); -A's are their negations."""
+    vals = _contract(np.frombuffer(gen_bytes), _scan_directions(dim), order)[0]
+    vals.flags.writeable = False
+    return vals
+
+
 def _rayleigh(gen, order, x):
     """The Rayleigh value x . A x^(m-1) and the residual max |A x^(m-1) - lam x|."""
     g = np.correlate(gen, _power_coeffs(x, order - 1), mode="valid")
@@ -239,8 +247,8 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
         lam, residual = _rayleigh(gen, order, x)
         return EigenPair("Z", sign * lam, x, residual <= _RESIDUAL_OK_REL * (1.0 + abs(lam)), residual)
     if a.dim > 2:
-        table = _scan_directions(a.dim)
-        starts.extend(table[np.argsort(-_contract(gen, table, order)[0], kind="stable")[:restarts]])
+        vals = _scan_values(a.order, a.dim, a.gen.tobytes())
+        starts.extend(_scan_directions(a.dim)[np.argsort(-sign * vals, kind="stable")[:restarts]])
 
     steps = rejected = 0
 

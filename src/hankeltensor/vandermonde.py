@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HankelTensor, _as_finite_vector, _frozen_vector, _no_overflow
+from .core import HankelTensor, _as_finite_vector, _built, _frozen_vector, _no_overflow
 from .errors import NumericalError
 
 _NODE_MERGE_REL = 1e-12
@@ -23,7 +23,7 @@ _RESIDUAL_REL = 1e-6
 
 def _collides(s):
     """Which sorted neighbours lie within 1e-12 * max(1, |u|, |w|) of each other."""
-    return np.diff(s) <= _NODE_MERGE_REL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+    return s[1:] - s[:-1] <= _NODE_MERGE_REL * np.maximum(1.0, np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
 
 
 def _check_distinct(nodes, name):
@@ -31,7 +31,7 @@ def _check_distinct(nodes, name):
     # its larger-magnitude end has a gap no wider and a bound no smaller.
     s = np.sort(nodes)
     hit = _collides(s)
-    if np.any(hit):
+    if hit.any():
         raise ValueError(f"{name} must be pairwise distinct (collision at {s[np.argmax(hit)]!r})")
 
 
@@ -42,13 +42,14 @@ class VandermondeDecomposition:
     nodes: np.ndarray
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        nodes = _frozen_vector(self.nodes, "nodes")
-        coeffs = _frozen_vector(self.coeffs, "coeffs")
+    def __post_init__(self, fresh=False):
+        nodes = _frozen_vector(self.nodes, "nodes", fresh)
+        coeffs = _frozen_vector(self.coeffs, "coeffs", fresh)
         if nodes.shape[0] != coeffs.shape[0]:
             raise ValueError("nodes and coeffs must have the same length")
-        _check_distinct(nodes, "nodes")
-        if np.any(coeffs == 0.0):
+        if not fresh:  # decompose checks given nodes, hadamard_vd merges collisions
+            _check_distinct(nodes, "nodes")
+        if (coeffs == 0.0).any():
             raise ValueError("coefficients must be nonzero")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
@@ -137,13 +138,13 @@ def decompose(a, nodes=None):
             residual=residual,
         )
     keep = np.abs(alpha) > _COEFF_DROP_REL * np.max(np.abs(alpha))
-    return VandermondeDecomposition(nodes[keep], alpha[keep])
+    return _built(VandermondeDecomposition, nodes[keep], alpha[keep])
 
 
 def compose(d, order, dim):
     """Hankel tensor generated by v_i = sum_k alpha_k u_k^i."""
     gen = _no_overflow("the generating vector", lambda: _power_matrix(d.nodes, (dim - 1) * order) @ d.coeffs)
-    return HankelTensor(order, dim, gen)
+    return _built(HankelTensor, order, dim, gen)
 
 
 def is_positive(d):
@@ -170,7 +171,7 @@ def hadamard_vd(d1, d2):
     nodes_arr = s[first]
     coeffs_arr = np.bincount(np.cumsum(first) - 1, weights=prod_coeffs[order])
     keep = np.abs(coeffs_arr) > _COEFF_DROP_REL * np.max(np.abs(coeffs_arr), initial=0.0)
-    return VandermondeDecomposition(nodes_arr[keep], coeffs_arr[keep])
+    return _built(VandermondeDecomposition, nodes_arr[keep], coeffs_arr[keep])
 
 
 def from_measure(mu, order, dim):
@@ -178,4 +179,4 @@ def from_measure(mu, order, dim):
     gen = _no_overflow(
         "the generating vector", lambda: _power_matrix(mu.nodes, (dim - 1) * order) @ mu.weights
     )
-    return HankelTensor(order, dim, gen)
+    return _built(HankelTensor, order, dim, gen)

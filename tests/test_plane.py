@@ -21,7 +21,7 @@ from hankeltensor import (
     make_hankel,
     z_extremes,
 )
-from hankeltensor.core import _forms
+from hankeltensor.core import _contract, _form_at, _forms
 
 
 def phi_direct(p, t):
@@ -195,6 +195,98 @@ class TestCopositiveCheck:
         assert rep.is_copositive
         assert rep.min_phi == pytest.approx(0.0, abs=1e-12)
         assert 0.5 in rep.critical_points
+
+
+def bits(x):
+    # the bytes of a float, so -0.0 and 0.0 differ
+    return float(x).hex()
+
+
+def check_by_batch(p):
+    """copositive_check's examined points and values, every value from one ``_forms`` batch."""
+    coeffs = p.gen
+    cut = 1e-10 * max(1.0, float(np.max(np.abs(coeffs))))
+    if min(coeffs[0], coeffs[-1]) < -cut:
+        ts, values = np.array([0.0, 1.0]), coeffs[[-1, 0]]
+    else:
+        ts = np.array([0.0] + polyroots.bernstein_roots(np.diff(coeffs[::-1])) + [1.0])
+        values = _forms(p, np.stack([ts, 1.0 - ts], axis=1))
+    i = int(np.argmin(values))
+    witness = None if values[i] >= -cut else float(ts[i])
+    return bits(values[i]), witness, ts.tolist()
+
+
+def seeded_planes(rng, count):
+    # random, nearly nonnegative and moment planes, each scaled by 10^-5..10^5;
+    # every fifth has a zero end, of either sign
+    for k in range(count):
+        l = int(rng.integers(2, 31)) if k % 2 else int(rng.integers(2, 9))
+        kind = k % 4
+        if kind == 0:
+            c = rng.uniform(-1, 1, l + 1)
+        elif kind == 1:
+            c = rng.uniform(-0.05, 1, l + 1)
+        else:
+            u, w = rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3)
+            c = w @ u[:, None] ** np.arange(l + 1)
+        if k % 5 == 0:
+            c[[0, -1][k % 2]] = -0.0 if k % 10 else 0.0
+        yield make_hankel(l, 2, c * 10.0 ** rng.integers(-5, 6))
+
+
+class TestScalarEvaluation:
+    """The scalar phi against the batch contraction, which is its oracle."""
+
+    def test_bit_equal_to_the_batch(self, rng):
+        for l in range(1, 91):
+            for _ in range(3):
+                gen = rng.uniform(-1, 1, l + 1) * 10.0 ** rng.choice([-5, 0, 5])
+                for t in [0.0, 1.0, 0.5, *rng.uniform(0, 1, 3)]:
+                    want = _contract(gen, np.array([[t, 1.0 - t]]), l)[0, 0]
+                    assert bits(_form_at(gen, t, 1.0 - t)) == bits(want), (l, t)
+
+    def test_check_matches_the_batch_reference(self, rng):
+        for p in seeded_planes(rng, 600):
+            rep = copositive_check(p)
+            assert (bits(rep.min_phi), rep.witness_t, rep.critical_points) == check_by_batch(p)
+
+    @pytest.mark.parametrize("order,dim", [(4, 11), (5, 9), (6, 9), (8, 8), (10, 7), (20, 4)])
+    def test_moment_planes_match_the_batch_reference(self, order, dim, rng):
+        for _ in range(5):
+            measure = DiscreteMeasure(rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3))
+            p = assoc_plane(from_measure(measure, order, dim))
+            rep = copositive_check(p)
+            assert (bits(rep.min_phi), rep.witness_t, rep.critical_points) == check_by_batch(p)
+
+    def test_low_work_takes_the_scalar_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("batch reached")
+
+        monkeypatch.setattr(plane, "_forms", refuse)
+        rep = copositive_check(make_hankel(4, 2, [1.0, -0.5, 0.1, -0.5, 1.0]))
+        assert (rep.critical_points, rep.witness_t) == ([0.0, 0.5, 1.0], 0.5)
+        assert rep.min_phi == pytest.approx(-0.0875, rel=1e-12)
+
+    @pytest.mark.parametrize("l,interior", [(200, 66), (1023, 35)])
+    def test_many_points_take_the_batch(self, l, interior, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scalar path reached")
+
+        monkeypatch.setattr(plane, "_form_at", refuse)
+        p = make_hankel(l, 2, 1.0 + 0.5 * np.cos(np.arange(l + 1) * np.pi / 3))
+        rep = copositive_check(p)
+        assert len(rep.critical_points) == interior + 2 and rep.is_copositive
+
+    def test_zero_end_keeps_the_batch_sign(self):
+        # the batch adds 0 * p_(l-1) to p_l = -0.0, giving +0.0, where p_l itself is -0.0
+        rep = copositive_check(make_hankel(2, 2, [1.0, 0.5, -0.0]))
+        assert bits(rep.min_phi) == bits(0.0)
+
+    def test_circle_values_at_minus_y_are_signed_copies(self, rng):
+        for l in range(2, 40):
+            p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
+            ys = rng.standard_normal((8, 2))
+            assert _forms(p, -ys).tobytes() == ((-1.0) ** l * _forms(p, ys)).tobytes()
 
 
 class TestEvalPlane:

@@ -679,6 +679,20 @@ class TestZeig:
             want /= np.linalg.norm(want, axis=1, keepdims=True)
             assert table.tobytes() == want.tobytes()
 
+    def test_scan_values_are_computed_once_per_tensor(self, rng):
+        # both modes rank one cached batch; -A's values are exactly its negations
+        spectra._scan_values.cache_clear()
+        a = random_hankel(rng, 4, 3)
+        for mode in ("min", "max"):
+            zeig_extreme(a, mode, restarts=4, iters=50)
+        info = spectra._scan_values.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        vals = spectra._scan_values(a.order, a.dim, a.gen.tobytes())
+        assert not vals.flags.writeable
+        table = spectra._scan_directions(a.dim)
+        assert vals.tobytes() == spectra._contract(a.gen, table, a.order)[0].tobytes()
+        assert (-vals).tobytes() == spectra._contract(-a.gen, table, a.order)[0].tobytes()
+
     def test_restarts_beyond_the_table_are_refused(self):
         # the scan table has 1024 rows; more restarts are refused before any work
         a = make_hankel(3, 5, np.linspace(-1.0, 1.0, 13))

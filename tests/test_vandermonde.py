@@ -6,6 +6,7 @@ from hankeltensor import (
     DiscreteMeasure,
     NumericalError,
     VandermondeDecomposition,
+    assoc_plane,
     compose,
     decompose,
     from_measure,
@@ -293,3 +294,77 @@ class TestFromMeasure:
             for order, dim in [(1, 2), (2, 1), (0, 3), (-1, 2), (3, -2), (1, 1)]:
                 with pytest.raises(ValueError, match="^order and dim must both be at least 2$"):
                     from_measure(mu, order, dim)
+
+
+class TestBuiltResults:
+    """Arrays the package builds are frozen in place, not copied: they must
+    still be float64, read-only, and apart from every array a caller holds."""
+
+    @staticmethod
+    def built(rng):
+        d1, d2 = random_positive_decomposition(rng), random_positive_decomposition(rng)
+        mu = random_measure(rng)
+        a = from_measure(mu, 4, 3)
+        empty = VandermondeDecomposition([], [])
+        return {
+            "hadamard": hadamard(a, from_measure(random_measure(rng), 4, 3)),
+            "compose": compose(d1, 3, 3),
+            "from_measure": a,
+            "assoc_plane": assoc_plane(a),
+            "hadamard_vd": hadamard_vd(d1, d2),
+            "hadamard_vd empty": hadamard_vd(empty, d1),
+            "hadamard_vd both empty": hadamard_vd(empty, empty),
+            "compose empty": compose(empty, 2, 3),
+            "decompose": decompose(a),
+            "decompose given nodes": decompose(a, np.linspace(-1.0, 1.0, 9)),
+        }
+
+    def test_arrays_are_read_only_float64(self, rng):
+        for name, obj in self.built(rng).items():
+            for field in ("gen",) if hasattr(obj, "gen") else ("nodes", "coeffs"):
+                arr = getattr(obj, field)
+                assert arr.dtype == np.float64 and arr.ndim == 1, (name, field)
+                assert not arr.flags.writeable, (name, field)
+                if arr.size:
+                    with pytest.raises(ValueError):
+                        arr[0] = 9.0
+
+    def test_results_do_not_alias_the_callers_arrays(self, rng):
+        a = from_measure(random_measure(rng), 3, 3)
+        nodes = np.linspace(-1.0, 1.0, 7)
+        d = decompose(a, nodes)
+        before = (d.nodes.tobytes(), d.coeffs.tobytes())
+        nodes[:] = 5.0
+        assert (d.nodes.tobytes(), d.coeffs.tobytes()) == before
+        # inputs handed to the public constructors are copied there, so a
+        # built result never shares memory with them either
+        raw = {"nodes": np.array([0.5, -0.25]), "weights": np.array([1.0, 2.0])}
+        mu = DiscreteMeasure(raw["nodes"], raw["weights"])
+        dd = VandermondeDecomposition(raw["nodes"], raw["weights"])
+        for out in (from_measure(mu, 3, 2).gen, compose(dd, 3, 2).gen, *vars(hadamard_vd(dd, dd)).values()):
+            assert not any(np.shares_memory(out, arr) for arr in raw.values())
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda big: hadamard_vd(big, big), "the product of the nodes"),
+            (
+                lambda big: hadamard_vd(VandermondeDecomposition([1.0, 2.0], [1e200, 1.0]), big),
+                "the product of the coefficients",
+            ),
+            (lambda big: compose(big, 3, 2), "the generating vector"),
+            (lambda big: from_measure(DiscreteMeasure([1e200], [1.0]), 3, 2), "the generating vector"),
+            (lambda big: hadamard(*[make_hankel(2, 2, [1e200] * 3)] * 2), "the Hadamard product"),
+        ],
+    )
+    def test_non_finite_results_still_raise(self, build, message):
+        big = VandermondeDecomposition([1e200, 2e200], [1e200, 1.0])
+        with pytest.raises(ValueError, match=f"^{message} overflows the float range$"):
+            build(big)
+
+    def test_built_tensors_keep_the_integer_and_shape_checks(self):
+        d = VandermondeDecomposition([0.5], [1.0])
+        with pytest.raises(TypeError, match="^order must be an integer, not float$"):
+            compose(d, 2.5, 2)
+        with pytest.raises(ValueError, match="^order and dim must both be at least 2$"):
+            compose(d, 1, 2)
