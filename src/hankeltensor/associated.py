@@ -7,8 +7,8 @@ q = ceil(((n-1)m + 2) / 2) with the same generating vector; the associated
 *plane tensor* is the dim-2 tensor of order ``(n-1)*m`` carrying the
 entry-count weights ``s(k, m, n)``.  Every tensor routine therefore applies
 to either.  A tensor of dimension 2 is its own plane at every order, since
-s(k, m, 2) = C(m, k); a plane is built only at dimension 3 and up, and only
-up to degree 60.  When ``(n-1)*m`` is odd the matrix has one free corner
+s(k, m, 2) = C(m, k); a plane is built at dimension 3 and up, at every
+degree.  When ``(n-1)*m`` is odd the matrix has one free corner
 entry, the last of its generating vector, and the tensor is strong iff some
 completion makes it PSD, which holds iff the minimal completion
 c* = b^T P^+ b does.  Strength is one eigenvalue test at every degree: the
@@ -26,8 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .core import _VERDICT_CUT, HankelTensor, _built
-
-_PLANE_DEGREE_CAP = 60
 
 
 @lru_cache(maxsize=64)
@@ -128,9 +126,11 @@ def is_strong(a):
     """
     big = float(np.max(np.abs(a.gen)))
     cut = _VERDICT_CUT * max(1.0, big)
-    mat = _square(assoc_matrix(a).gen)
+    odd = (a.dim - 1) * a.order % 2
+    # at odd degree the corner mat[-1, -1] is free, and c* is written there
+    mat = _square(np.append(a.gen, 0.0) if odd else a.gen)
     completion = None
-    if (a.dim - 1) * a.order % 2:
+    if odd:
         # P and b enter eigh scaled by 2^-e < 1/max|v|, so bh^2 cannot
         # overflow; the scaling is exact and is undone on lam_i and c*
         e = int(np.frexp(big)[1])
@@ -138,19 +138,15 @@ def is_strong(a):
         lam, vecs = np.linalg.eigh(scaled[:-1, :-1])
         bh = vecs.T @ scaled[:-1, -1]
         keep = np.ldexp(lam, e) > cut
-        # a c* past the float range is refused by assoc_matrix
         with np.errstate(over="ignore"):
             completion = float(np.ldexp(np.sum(bh[keep] ** 2 / lam[keep]), e))
-        mat = _square(assoc_matrix(a, completion).gen)
+        if not np.isfinite(completion):
+            raise ValueError("completion must be finite")
+        mat[-1, -1] = completion
     vals, vecs = np.linalg.eigh(mat)
     min_eig = float(vals[0])
     ok = min_eig >= -cut
     return StrongCertificate(ok, min_eig, completion, None if ok else vecs[:, 0])
-
-
-def _has_plane(a):
-    """Whether ``a`` has a plane: at dim 2 always, else up to the plane degree cap."""
-    return a.dim == 2 or (a.dim - 1) * a.order <= _PLANE_DEGREE_CAP
 
 
 def assoc_plane(a):
@@ -160,19 +156,15 @@ def assoc_plane(a):
     generating vector p_0..p_l, so every tensor routine applies to it; its
     form is sum_k C(l,k) p_k y1^(l-k) y2^k.
     At dim 2 every weight s(k, m, 2) / C(m, k) is 1, so ``a`` is returned
-    itself, at every order.  At dim 3 and up the plane is built, and a degree
-    above the capacity cap of 60 is refused; this is the one place that
-    decides which tensors have a plane, through ``_has_plane``.
+    itself, at every order.  At dim 3 and up the plane is built, at every
+    degree; the plane routines refuse a degree above the root engine's 1023.
     Counts and binomials are exact integers.  Their ratio is rounded to float
     once, by integer true division, and the product with v_k rounds once
     more: p_k carries a relative error of at most eps (1 + eps/4).
     """
-    top = (a.dim - 1) * a.order
-    if not _has_plane(a):
-        raise ValueError(f"plane degree {top} exceeds the capacity cap {_PLANE_DEGREE_CAP}")
     if a.dim == 2:
         return a
-    return _built(HankelTensor, top, 2, _plane_weights(a.order, a.dim) * a.gen)
+    return _built(HankelTensor, (a.dim - 1) * a.order, 2, _plane_weights(a.order, a.dim) * a.gen)
 
 
 def copositive_necessary(a):

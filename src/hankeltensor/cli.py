@@ -93,13 +93,13 @@ def _cmd_plane(args):
 
 
 def _cmd_copositive_plane(args):
+    if (args.plane is None) == (args.p is None):
+        raise ValueError("give exactly one of plane (a plane JSON file) and --p")
     if args.plane is not None:
         doc = serialize.load_json(args.plane)
-    elif args.p is not None:
+    else:
         coeffs = _floats(args.p, "--p").tolist()
         doc = {"degree": len(coeffs) - 1, "p": coeffs}
-    else:
-        raise ValueError("supply a plane JSON file or --p")
     p = serialize.plane_from_dict(doc)
     report = plane.copositive_check(p)
     _emit(args, serialize.report_to_dict(report))
@@ -221,9 +221,8 @@ def build_parser():
     opt_output(p)
 
     p = add("copositive-plane", _cmd_copositive_plane, "plane copositivity; exits 1 when not copositive")
-    given = p.add_mutually_exclusive_group()
-    given.add_argument("plane", nargs="?", help="plane tensor JSON file")
-    given.add_argument("--p", help="comma-separated coefficients p_0..p_l")
+    p.add_argument("plane", nargs="?", help="plane tensor JSON file")
+    p.add_argument("--p", help="comma-separated coefficients p_0..p_l")
     opt_output(p)
 
     p = add("decompose", _cmd_decompose, "Vandermonde decomposition (default Chebyshev nodes)")

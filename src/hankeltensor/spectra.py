@@ -11,13 +11,14 @@ value is rejected while the shift doubles toward a globally sufficient cap,
 so every start ascends monotonically.  At dim 2 the one start is the
 associated plane tensor's certified circle extreme lifted to the unit sphere
 (the point where the plane bound is taken).  At dim 3 and up the starts are
-the coordinate directions, that lifted plane extreme where the tensor has a
-plane, and the best-valued rows of one fixed, cached table of 1024 unit
-vectors, evaluated in one batch; the plane start makes the plane-derived
-bounds hold against the estimates by construction.  Each start climbs once, until its Rayleigh value
-moves by at most max(1e-4 |lambda|, 1e-12 (1 + |lambda|)) in a step; the
-start of highest value alone then gets a Newton polish, which finishes the
-climb at quadratic rate.  ``converged`` is the returned pair's residual test.
+the coordinate directions, that lifted plane extreme where the root engine
+takes the plane (degree at most 1023), and the best-valued rows of one
+fixed, cached table of 1024 unit vectors, evaluated in one batch; the plane
+start makes the plane-derived bounds hold against the estimates by
+construction.  Each start climbs once, until its Rayleigh value moves by
+at most max(1e-4 |lambda|, 1e-12 (1 + |lambda|)) in a step; the start of
+highest value alone then gets a Newton polish, which finishes the climb at
+quadratic rate.  ``converged`` is the returned pair's residual test.
 For two-dimensional tensors the full H-spectrum reduces to the zero
 directions of a single binary form.
 Copositivity falsification bisects the standard simplex, on which the
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyroots
-from .associated import _has_plane, _square, assoc_plane
+from .associated import _square, assoc_plane
 from .core import HankelTensor, _contract, _integer, _power_coeffs, eval_form
 from .plane import z_extremes
 
@@ -103,8 +104,8 @@ def _plane_lifts(order, dim, gen_bytes):
 
     The plane's circle extreme y lifts to w = (y1^(n-1-j) y2^j)_j, where
     A w^m = P(y), so x = w/|w| carries the plane extreme onto the unit
-    sphere.  Whether the tensor has a plane is ``assoc_plane``'s to decide;
-    at dim 2 the plane is the tensor and the lift is y/|y|.
+    sphere.  A plane degree above 1023 is refused by the root engine; at
+    dim 2 the plane is the tensor and the lift is y/|y|.
     Memoised on the tensor's content: the min and max starts of
     ``zeig_extreme`` and ``bounds_prop7`` share one ``z_extremes`` call.
     """
@@ -195,10 +196,10 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
       start can beat; at dim 2 above order 1023 the circle extremes, and so
       the call, are refused by the root engine.
     - dim 3 and up: the coordinate vectors; the lifted plane extreme of the
-      mode when the plane degree (dim-1)*order is within the cap; and the
-      ``restarts`` best-valued rows (the first on ties) of one fixed table of
-      1024 unit vectors, the normalised standard-normal draws of
-      ``default_rng(0)``, evaluated in one batch.
+      mode when the plane degree (dim-1)*order is at most the root engine's
+      1023; and the ``restarts`` best-valued rows (the first on ties) of one
+      fixed table of 1024 unit vectors, the normalised standard-normal draws
+      of ``default_rng(0)``, evaluated in one batch.
 
     ``restarts`` must be in 1..1024 and has no effect at order 2 or at
     dim 2.  Each
@@ -213,11 +214,11 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
     sum that overflows a float is refused with a ``ValueError``, at order 2
     too; with |v| <= 1 that takes order 647 or more at dim 3.  Within the
     caps ``converged`` can be False at high order.  With
-    v = default_rng([m, n, s]).uniform(-1, 1, (n-1)m + 1), max mode,
-    restarts=4, iters=300, m in {20, 50, 100, 150, 200, 250, 300}, n in
-    {3, 4} and s in 0..2, 19 of the 42 calls end unconverged, the first at
-    (m, n) = (50, 4) with a relative residual of 0.42; some seed fails at
-    n = 4 for every m from 50 on, and at n = 3 for m = 200, 250 and 300.
+    v = default_rng([m, n, s]).uniform(-1, 1, (n-1)m + 1), restarts=4,
+    iters=300, m in {20, 50, 100, 150, 200, 250, 300}, n in {3, 4} and s in
+    0..2, 8 of the 42 calls end unconverged in max mode and 6 in min mode,
+    all at n = 4: the first at (m, n) = (50, 4) with a relative residual of
+    0.42, and some seed fails in each mode for every m from 50 on.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -229,7 +230,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
         raise ValueError("iters must be at least 1")
 
     starts = [] if a.dim == 2 else list(np.eye(a.dim))
-    if a.order > 2 and _has_plane(a):
+    if a.order > 2 and (a.dim == 2 or (a.dim - 1) * a.order <= polyroots._MAX_DEGREE):
         x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
         starts.append(x_max if mode == "max" else x_min)
 
@@ -356,7 +357,7 @@ def bounds_prop7(a):
     unit sphere, and any such value lies between the extreme Z-eigenvalues,
     so the bounds hold at every parity of (dim-1)*order.  ``zeig_extreme``
     starts from the same lifts, odd degree included, so its estimates sit
-    inside them.  A tensor without a plane is refused by ``assoc_plane``.
+    inside them.  A plane degree above 1023 is refused by the root engine.
     """
     x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
     return ZBounds(eval_form(a, x_min), eval_form(a, x_max), "prop7")

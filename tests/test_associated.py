@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hankeltensor import (
     is_strong,
     make_hankel,
 )
+from hankeltensor import associated
 from hankeltensor.serialize import to_dict
 from conftest import dense_matrix, distinct_nodes, psd_check, random_hankel, random_measure
 
@@ -188,6 +190,17 @@ class TestIsStrong:
         with pytest.raises(TypeError):
             is_strong(COUNTEREXAMPLE, tol=1e-10)
 
+    def test_builds_the_square_from_the_generating_vector(self, monkeypatch):
+        # even and odd (dim-1)*order: no associated-matrix tensor is built
+        cases = [COUNTEREXAMPLE, make_hankel(3, 2, [1.0, 1.0, 1.0, 1.0]), make_hankel(3, 2, [0.0, 0.0, 1.0, 0.0])]
+        want = [to_dict(is_strong(a)) for a in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assoc_matrix called")
+
+        monkeypatch.setattr(associated, "assoc_matrix", refuse)
+        assert [to_dict(is_strong(a)) for a in cases] == want
+
     def test_odd_case_range_failure(self):
         # P = [[0,0],[0,1]] is PSD but b = (1,0) misses range(P)
         cert = is_strong(make_hankel(3, 2, [0.0, 0.0, 1.0, 0.0]))
@@ -316,10 +329,16 @@ class TestAssocPlane:
             expect = eval_form(a, u ** np.arange(dim))
             assert direct == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
-    def test_capacity(self):
-        a = make_hankel(2, 32, np.zeros(63))
-        with pytest.raises(ValueError):
-            assoc_plane(a)
+    @pytest.mark.parametrize("order,dim", [(2, 32), (31, 3)])
+    def test_built_at_every_degree(self, rng, order, dim):
+        # degree 62: p_k = s(k,m,n) v_k / C(l,k), each within eps (1 + eps/4)
+        a = random_hankel(rng, order, dim)
+        p = assoc_plane(a)
+        assert (p.order, p.dim) == (62, 2)
+        eps = Fraction(np.finfo(float).eps)
+        for k, (pk, vk) in enumerate(zip(p.gen.tolist(), a.gen.tolist())):
+            exact = Fraction(count_s(k, order, dim), math.comb(62, k)) * Fraction(vk)
+            assert abs(Fraction(pk) - exact) <= eps * (1 + eps / 4) * abs(exact)
 
 
 class TestCopositiveNecessary:

@@ -122,14 +122,11 @@ class TestVerdictCommands:
         # the file alone is copositive and --p alone is not: neither may win
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"degree": 2, "p": [1.0, 0.0, 1.0]}))
-        for argv in ([str(path), "--p", "1,-3,1"], ["--p", "1,-3,1", str(path)]):
-            with pytest.raises(SystemExit) as exc:
-                main(["copositive-plane", *argv])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "not allowed with argument" in captured.err
-            assert "--p" in captured.err and "plane" in captured.err
+        for argv in ([str(path), "--p", "1,-3,1"], ["--p", "1,-3,1", str(path)], []):
+            code, out, err = run(capsys, "copositive-plane", *argv)
+            assert (code, out) == (2, "")
+            assert "exactly one of" in err
+            assert "--p" in err and "plane" in err
         assert run(capsys, "copositive-plane", str(path))[0] == 0
         assert run(capsys, "copositive-plane", "--p", "1,-3,1")[0] == 1
 
@@ -176,7 +173,7 @@ class TestPipelines:
         assert code == 0
         assert json.loads(out) == {"degree": 4, "p": [1.0, 0.0, -1 / 6, 0.0, 1.0]}
 
-        # a dim-2 tensor is its own plane at every order, past the cap of 60 on built planes
+        # a dim-2 tensor is its own plane at every order, as a built plane is at every degree
         gen = np.random.default_rng(0).uniform(-1, 1, 63).tolist()
         code, out, _ = run(capsys, "plane", write_tensor(tmp_path, "t62.json", 62, 2, gen))
         assert code == 0
@@ -303,6 +300,9 @@ class TestErrorPaths:
             assert exc.value.code == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "" and "error:" in captured.err
+            if argv[0] == "copositive-plane":
+                # argparse takes 1e-10 for a plane file, yet the error names --tol
+                assert "unrecognized arguments: --tol" in captured.err
 
     def test_overflowing_form_exits_2(self, capsys, tmp_path):
         path = write_tensor(tmp_path, "q.json", 4, 2, [1.0, 0.0, 1.0, 0.0, 1.0])

@@ -358,12 +358,16 @@ class TestZExtremes:
 
 
 def phi_exact(p, t):
-    """phi(t) by de Casteljau in rational arithmetic."""
-    b = [Fraction(float(x)) for x in p.gen[::-1]]
-    t = Fraction(t)
-    while len(b) > 1:
-        b = [(1 - t) * x + t * y for x, y in zip(b[:-1], b[1:])]
-    return b[0]
+    """phi(t) = sum_k C(l,k) p_k t^(l-k) (1-t)^k in rational arithmetic.
+
+    With t = N/D, phi(t) D^l = sum_k C(l,k) p_k N^(l-k) (D-N)^k, a sum of
+    integer multiples of the floats p_k, so only O(l) Fraction operations
+    are needed, against O(l^2) for de Casteljau.
+    """
+    l = p.order
+    num, den = Fraction(t).as_integer_ratio()
+    terms = (Fraction(c) * math.comb(l, k) * num ** (l - k) * (den - num) ** k for k, c in enumerate(p.gen.tolist()))
+    return sum(terms) / den**l
 
 
 def grid_min(p):
@@ -394,7 +398,16 @@ class TestHighDegreeAndMultipleRoots:
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_degree_60_minimum_matches_exact_arithmetic(self, measure):
-        p = assoc_plane(from_measure(DiscreteMeasure(*measure), 10, 7))
+        self.check_minimum_exactly(assoc_plane(from_measure(DiscreteMeasure(*measure), 10, 7)))
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_degree_120_minimum_matches_exact_arithmetic(self, measure):
+        p = assoc_plane(from_measure(DiscreteMeasure(*measure), 40, 4))
+        assert p.order == 120
+        self.check_minimum_exactly(p)
+
+    @staticmethod
+    def check_minimum_exactly(p):
         rep = copositive_check(p)
         exact = [phi_exact(p, t) for t in rep.critical_points]
         scale = float(np.max(np.abs(p.gen)))

@@ -654,6 +654,15 @@ class TestZeig:
         assert pair.converged
         assert abs(pair.value - lam) <= 1e-9 * abs(lam)
 
+    @pytest.mark.parametrize("order,dim", [(150, 4), (300, 3)])
+    def test_high_order_converges_from_the_plane_start(self, order, dim):
+        # plane degrees 450 and 600: from the coordinate and scanned starts
+        # alone the winner ends unconverged here
+        a = make_hankel(order, dim, np.random.default_rng([order, dim, 0]).uniform(-1, 1, (dim - 1) * order + 1))
+        pair = zeig_extreme(a, "max", restarts=4, iters=300)
+        assert pair.converged
+        assert pair.value >= bounds_prop7(a).lower_for_max
+
     def test_overflowing_shift_scale_is_refused(self):
         a = make_hankel(660, 3, np.random.default_rng(660).uniform(-1, 1, 1321))
         with pytest.raises(ValueError, match="shift scale overflows at order 660, dim 3"):
@@ -876,10 +885,19 @@ class TestBounds:
         assert b.lower_for_max == pytest.approx(0.0, abs=1e-12)
 
     def test_degree_cap(self, rng):
-        # assoc_plane alone holds the cap, and only for planes it builds (dim >= 3);
+        # the root engine's 1023 is the one degree cap: a built plane of degree
+        # 62 bounds the extremes, one of degree 1024 is refused by the plane
+        # routines, and zeig_extreme then answers without the plane start
+        a = random_hankel(rng, 31, 3)
+        b = bounds_prop7(a)
+        assert zmin(a, restarts=4, iters=300).value <= b.upper_for_min + 1e-9 * (1.0 + abs(b.upper_for_min))
+        assert zmax(a, restarts=4, iters=300).value >= b.lower_for_max - 1e-9 * (1.0 + abs(b.lower_for_max))
+        a = random_hankel(rng, 512, 3)
+        for call in (lambda: bounds_prop7(a), lambda: z_extremes(assoc_plane(a))):
+            with pytest.raises(ValueError, match="degree 1024 exceeds the root engine's limit 1023"):
+                call()
+        assert zmax(a, restarts=1, iters=20).value >= bounds_prop6(a).lower_for_max
         # a dim-2 tensor is its own plane at every order
-        with pytest.raises(ValueError, match="plane degree 62 exceeds the capacity cap 60"):
-            bounds_prop7(random_hankel(rng, 31, 3))
         a = random_hankel(rng, 62, 2)
         assert assoc_plane(a) is a
         ext = z_extremes(a)
