@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _VERDICT_CUT, HankelTensor, _built
+from .core import _VERDICT_CUT, HankelTensor, _unit_scaled
 
 
 @lru_cache(maxsize=64)
@@ -133,8 +133,7 @@ def is_strong(a):
     if odd:
         # P and b enter eigh scaled by 2^-e < 1/max|v|, so bh^2 cannot
         # overflow; the scaling is exact and is undone on lam_i and c*
-        e = int(np.frexp(big)[1])
-        scaled = np.ldexp(mat, -e)
+        e, scaled = _unit_scaled(mat)
         lam, vecs = np.linalg.eigh(scaled[:-1, :-1])
         bh = vecs.T @ scaled[:-1, -1]
         keep = np.ldexp(lam, e) > cut
@@ -164,7 +163,7 @@ def assoc_plane(a):
     """
     if a.dim == 2:
         return a
-    return _built(HankelTensor, (a.dim - 1) * a.order, 2, _plane_weights(a.order, a.dim) * a.gen)
+    return HankelTensor((a.dim - 1) * a.order, 2, _plane_weights(a.order, a.dim) * a.gen)
 
 
 def copositive_necessary(a):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .core import _VERDICT_CUT, _form_at, _forms
+from .core import _VERDICT_CUT, _form_at, _forms, _no_overflow, _unit_scaled
 
 
 def _plane(p):
@@ -50,18 +50,26 @@ def copositive_check(p):
     phi is contracted in one batch or, up to interior points x degree = 48
     (measured in ``core``), bit-equally on floats at the interior points
     alone, with phi(0) = p_l and phi(1) = p_0 when both are nonzero.
+    The differences reach the root engine from p scaled by 2^-e, e the
+    binary exponent of max |p_k|, which is exact and moves no root, so they
+    do not overflow; phi is evaluated on p itself, and a value past the
+    float range is refused with ``ValueError("the form overflows the float
+    range")``.
     """
     l, coeffs = _plane(p)
     cut = _VERDICT_CUT * max(1.0, float(np.abs(coeffs).max()))
     if min(coeffs[0], coeffs[-1]) < -cut:
         ts, values = [0.0, 1.0], coeffs[[-1, 0]]
     else:
-        roots = polyroots.bernstein_roots(coeffs[-2::-1] - coeffs[:0:-1])
+        b = _unit_scaled(coeffs)[1]
+        roots = polyroots.bernstein_roots(b[-2::-1] - b[:0:-1])
         ts = [0.0] + roots + [1.0]
         if len(roots) * l <= 48 and coeffs[0] and coeffs[-1]:
-            values = [coeffs[-1]] + [_form_at(coeffs, t, 1.0 - t) for t in roots] + [coeffs[0]]
+            values = _no_overflow(
+                "the form", lambda: [coeffs[-1]] + [_form_at(coeffs, t, 1.0 - t) for t in roots] + [coeffs[0]]
+            )
         else:
-            values = _forms(p, np.array([ts, [1.0 - t for t in ts]]).T)
+            values = _no_overflow("the form", lambda: _forms(p, np.array([ts, [1.0 - t for t in ts]]).T))
     i = int(np.argmin(values))
     min_phi = float(values[i])
     copositive = min_phi >= -cut
@@ -82,15 +90,21 @@ def z_extremes(p):
     The stationary points on the circle are the zeros of the binary form
     y2 dP/dy1 - y1 dP/dy2, whose coefficients are
     q_j = j p_(j-1) - (l-j) p_(j+1); each zero direction is tried with both
-    signs, together with the axes.
+    signs, together with the axes.  q is formed from p scaled by 2^-e, e the
+    binary exponent of max |p_k|, which is exact and moves no root, so it
+    does not overflow up to max |p_k| near 1e308.  The values are taken on p
+    itself: an extreme past the float range is refused with
+    ``ValueError("the form overflows the float range")``, never returned as
+    inf or NaN.
     """
     l, c = _plane(p)
+    c = _unit_scaled(c)[1]
     j = np.arange(l + 1)
     q = j * np.r_[0.0, c[:-1]] - (l - j) * np.r_[c[1:], 0.0]
     dirs = polyroots.form_directions(q)
     ys = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     # the values at -y are (-1)^l times those at y, exact up to the sign of a zero
-    vals = _forms(p, ys)
+    vals = _no_overflow("the form", lambda: _forms(p, ys))
     ys, vals = np.concatenate([ys, -ys]), np.concatenate([vals, (-1.0) ** l * vals])
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
     return PlaneExtremes(float(vals[i_min]), ys[i_min], float(vals[i_max]), ys[i_max])

@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _unit_scaled
+
 _MIN_WIDTH = 1e-12
 _EPS = float(np.finfo(float).eps)
 _MAX_DEGREE = 1023
@@ -68,8 +70,8 @@ def _scaled_terms(b):
     The scaling by 2^-e is exact and keeps every term, and every Horner sum
     over them, below 2^l in magnitude, so nothing overflows up to degree 1023.
     """
-    e = int(np.frexp(np.max(np.abs(b)))[1])
-    return e, (np.ldexp(b, -e) * _binomials(b.size - 1)).tolist()
+    e, scaled = _unit_scaled(b)
+    return e, (scaled * _binomials(b.size - 1)).tolist()
 
 
 def _horner(terms, t):

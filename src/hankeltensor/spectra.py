@@ -40,7 +40,7 @@ import numpy as np
 
 from . import polyroots
 from .associated import _square, assoc_plane
-from .core import HankelTensor, _contract, _integer, _power_coeffs, eval_form
+from .core import HankelTensor, _contract, _integer, _no_overflow, _power_coeffs, _unit_scaled, eval_form
 from .plane import z_extremes
 
 _LAMBDA_STALL_REL = 1e-12
@@ -315,27 +315,36 @@ def heig_dim2(a):
     eigenpair (v_1 or v_(m-1) tiny puts it there); of each such group only
     the member of smallest residual is reported.  When the form vanishes
     (every direction is an eigenvector) the axes are the representatives.
+    The binary form's coefficients come from v scaled by 2^-e, e the binary
+    exponent of max |v|, which is exact and moves no root; F is evaluated on
+    v itself, and an F past the float range, at any candidate, is refused
+    with ``ValueError("the gradient form overflows the float range")``
+    rather than a pair being dropped.  A rounding scale, residual or lambda
+    gap past the float range fails the test it enters.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
     m = a.order
     v = np.asarray(a.gen)
+    vs = _unit_scaled(v)[1]
     binom = polyroots._binomials(m - 1)
-    g = np.zeros(2 * m - 1)  # monomial weights of y1^(2m-2-j) y2^j
-    g[:m] += binom * v[1:]
-    g[m - 1 :] -= binom * v[:m]
+    g = np.zeros(2 * m - 1)  # monomial weights of y1^(2m-2-j) y2^j, from v scaled
+    g[:m] += binom * vs[1:]
+    g[m - 1 :] -= binom * vs[:m]
     xs = polyroots.form_directions(g / polyroots._binomials(2 * m - 2))
     i = np.arange(xs.shape[0])
     top = np.argmax(np.abs(xs), axis=1)
     xs = xs / xs[i, top][:, None]
 
-    grad = _contract(v, xs, m - 1)
-    scale = np.max(_contract(np.abs(v), np.abs(xs), m - 1), axis=0)
+    grad = _no_overflow("the gradient form", lambda: _contract(v, xs, m - 1))
     lam = grad[top, i]
-    residual = np.max(np.abs(grad - lam * xs.T ** (m - 1)), axis=0)
-    keep = residual <= 1e-8 * np.minimum(1.0 + np.abs(lam), scale)
-    near = np.max(np.abs(xs[2:, None] - xs[:2]), axis=2) <= 1e-9
-    near &= np.abs(lam[2:, None] - lam[:2]) <= 1e-9 * (1.0 + np.abs(lam[:2]))
+    # a scale, residual or lambda gap past the float range fails the test it enters
+    with np.errstate(over="ignore"):
+        scale = np.max(_contract(np.abs(v), np.abs(xs), m - 1), axis=0)
+        residual = np.max(np.abs(grad - lam * xs.T ** (m - 1)), axis=0)
+        keep = residual <= 1e-8 * np.minimum(1.0 + np.abs(lam), scale)
+        near = np.max(np.abs(xs[2:, None] - xs[:2]), axis=2) <= 1e-9
+        near &= np.abs(lam[2:, None] - lam[:2]) <= 1e-9 * (1.0 + np.abs(lam[:2]))
     near &= keep[2:, None] & keep[:2]
     for j in np.flatnonzero(np.any(near, axis=0)):
         group = np.r_[j, 2 + np.flatnonzero(near[:, j])]
@@ -357,7 +366,8 @@ def bounds_prop7(a):
     unit sphere, and any such value lies between the extreme Z-eigenvalues,
     so the bounds hold at every parity of (dim-1)*order.  ``zeig_extreme``
     starts from the same lifts, odd degree included, so its estimates sit
-    inside them.  A plane degree above 1023 is refused by the root engine.
+    inside them.  A plane degree above 1023 is refused by the root engine,
+    and a plane or form value past the float range with a ``ValueError``.
     """
     x_min, x_max = _plane_lifts(a.order, a.dim, a.gen.tobytes())
     return ZBounds(eval_form(a, x_min), eval_form(a, x_max), "prop7")
@@ -451,8 +461,11 @@ def copositive_falsify(a, depth=1):
     both children's nets by batched de Casteljau steps at 1/2.  The first
     level with a vertex value below -cut returns its lowest vertex, a point
     of the simplex with dyadic coordinates, once ``eval_form`` confirms it
-    below -cut.  Nets are convex combinations of the generating vector, so
-    no level overflows.
+    below -cut.  The nets run on the generating vector scaled by 2^-e, e
+    the binary exponent of max |v|, against the cut scaled alike: the
+    scaling is exact and moves no comparison, and every net is a convex
+    combination of entries below 1, so no half-sum overflows, up to max |v|
+    near 1e308.
 
     At even order, when the root's vertices clear the cut but its net does
     not, the associated Hankel matrix M is tried before the first
@@ -479,15 +492,19 @@ def copositive_falsify(a, depth=1):
     big = float(np.max(np.abs(a.gen)))
     cut = 1e-12 * max(1.0, big)
     alpha, shift, corners, root, iu, ju = _subdivision_tables(a.order, a.dim)
-    nets, verts = a.gen[root][None], np.eye(a.dim)[None]
+    # the nets and their cut are scaled by 2^-e, which moves no comparison and
+    # keeps every half-sum below 1; the witness is confirmed on a itself
+    e, gen = _unit_scaled(a.gen)
+    net_cut = math.ldexp(cut, -e)
+    nets, verts = gen[root][None], np.eye(a.dim)[None]
     made = 0
     while True:
         vals = nets[:, corners]
         node, j = np.unravel_index(np.argmin(vals), vals.shape)
-        if vals[node, j] < -cut:
+        if vals[node, j] < -net_cut:
             x = verts[node, j].copy()
             return x if eval_form(a, x) < -cut else None
-        keep = np.min(nets, axis=1) < -cut
+        keep = np.min(nets, axis=1) < -net_cut
         # the root level, before the first bisection
         if made == 0 and keep[0] and a.order % 2 == 0 and _matrix_certifies(a, big, cut):
             return None

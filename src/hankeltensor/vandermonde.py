@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HankelTensor, _as_finite_vector, _built, _frozen_vector, _no_overflow
+from .core import HankelTensor, _as_finite_vector, _frozen_vector, _no_overflow, _unit_scaled
 from .errors import NumericalError
 
 _NODE_MERGE_REL = 1e-12
@@ -42,13 +42,12 @@ class VandermondeDecomposition:
     nodes: np.ndarray
     coeffs: np.ndarray
 
-    def __post_init__(self, fresh=False):
-        nodes = _frozen_vector(self.nodes, "nodes", fresh)
-        coeffs = _frozen_vector(self.coeffs, "coeffs", fresh)
+    def __post_init__(self):
+        nodes = _frozen_vector(self.nodes, "nodes")
+        coeffs = _frozen_vector(self.coeffs, "coeffs")
         if nodes.shape[0] != coeffs.shape[0]:
             raise ValueError("nodes and coeffs must have the same length")
-        if not fresh:  # decompose checks given nodes, hadamard_vd merges collisions
-            _check_distinct(nodes, "nodes")
+        _check_distinct(nodes, "nodes")
         if (coeffs == 0.0).any():
             raise ValueError("coefficients must be nonzero")
         object.__setattr__(self, "nodes", nodes)
@@ -106,7 +105,10 @@ def decompose(a, nodes=None):
     Default nodes are the Chebyshev points of the second kind,
     cos(k pi / (r-1)) for k = 0..r-1 with r = (n-1)m + 1.  Coefficients below
     1e-12 of the largest are dropped.  A residual above 1e-6 * ||gen|| aborts
-    with a numerical error.
+    with a numerical error.  Both norms are taken on their vectors scaled by
+    2^-e, e the binary exponent of max |v|, so the gate holds up to max |v|
+    near 1e308; a solve that overflows there fails it, with the
+    ``NumericalError``, as does any residual past the float range.
 
     Working range with the default nodes: the round trip through ``compose``
     stays within 1e-8 * max|v| up to (n-1)m = 20, and its error grows about
@@ -126,24 +128,27 @@ def decompose(a, nodes=None):
             raise ValueError(f"nodes has length {nodes.shape[0]}, expected (dim-1)*order+1 = {r}")
         _check_distinct(nodes, "nodes")
 
-    # an overflowing solve leaves a residual of inf or NaN, which the gate refuses
+    # an overflowing solve leaves a residual of inf or NaN, which the gate
+    # refuses; the gate compares both norms at 2^-e, where neither overflows
+    e, v = _unit_scaled(a.gen)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _moment_solve(nodes, a.gen)
-        residual = float(np.linalg.norm(_power_matrix(nodes, r - 1) @ alpha - a.gen))
-    limit = _RESIDUAL_REL * float(np.linalg.norm(a.gen))
-    if not residual <= limit:
-        raise NumericalError(
-            f"decomposition residual {residual:.3e} exceeds {limit:.3e}; nodes too ill-conditioned",
-            residual=residual,
-        )
+        residual = np.linalg.norm(np.ldexp(_power_matrix(nodes, r - 1) @ alpha - a.gen, -e))
+        limit = _RESIDUAL_REL * np.linalg.norm(v)
+        if not residual <= limit:
+            residual, limit = float(np.ldexp(residual, e)), float(np.ldexp(limit, e))
+            raise NumericalError(
+                f"decomposition residual {residual:.3e} exceeds {limit:.3e}; nodes too ill-conditioned",
+                residual=residual,
+            )
     keep = np.abs(alpha) > _COEFF_DROP_REL * np.max(np.abs(alpha))
-    return _built(VandermondeDecomposition, nodes[keep], alpha[keep])
+    return VandermondeDecomposition(nodes[keep], alpha[keep])
 
 
 def compose(d, order, dim):
     """Hankel tensor generated by v_i = sum_k alpha_k u_k^i."""
     gen = _no_overflow("the generating vector", lambda: _power_matrix(d.nodes, (dim - 1) * order) @ d.coeffs)
-    return _built(HankelTensor, order, dim, gen)
+    return HankelTensor(order, dim, gen)
 
 
 def is_positive(d):
@@ -170,7 +175,7 @@ def hadamard_vd(d1, d2):
     nodes_arr = s[first]
     coeffs_arr = np.bincount(np.cumsum(first) - 1, weights=prod_coeffs[order])
     keep = np.abs(coeffs_arr) > _COEFF_DROP_REL * np.max(np.abs(coeffs_arr), initial=0.0)
-    return _built(VandermondeDecomposition, nodes_arr[keep], coeffs_arr[keep])
+    return VandermondeDecomposition(nodes_arr[keep], coeffs_arr[keep])
 
 
 def from_measure(mu, order, dim):
@@ -178,4 +183,4 @@ def from_measure(mu, order, dim):
     gen = _no_overflow(
         "the generating vector", lambda: _power_matrix(mu.nodes, (dim - 1) * order) @ mu.weights
     )
-    return _built(HankelTensor, order, dim, gen)
+    return HankelTensor(order, dim, gen)

@@ -12,13 +12,20 @@ from hankeltensor import (
     DiscreteMeasure,
     HankelTensor,
     VandermondeDecomposition,
+    bounds_prop7,
+    copositive_check,
+    copositive_falsify,
+    decompose,
     entry,
     eval_form,
     eval_gradient_form,
     hadamard,
+    heig_dim2,
     make_hankel,
+    z_extremes,
 )
 from hankeltensor.core import _forms
+from hankeltensor.errors import NumericalError
 from hankeltensor.serialize import to_dict
 from conftest import dense_eval, random_hankel, to_dense
 
@@ -209,6 +216,68 @@ def test_hadamard_overflow_is_refused():
     a = make_hankel(2, 2, [1e200, 1.0, 1.0])
     with pytest.raises(ValueError, match="^the Hadamard product overflows the float range$"):
         hadamard(a, a)
+
+
+def _uniform(seed, size):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+
+
+# name -> (the call on the generating vector scaled by s, and its answer
+# split into the parts that scale with s and the parts that do not)
+FLOAT_RANGE = {
+    "z_extremes": (
+        lambda s: z_extremes(make_hankel(40, 2, s * _uniform(1, 41))),
+        lambda e: ([e.lambda_min, e.lambda_max], [*e.y_min, *e.y_max]),
+    ),
+    "z_extremes (2, 2)": (
+        lambda s: z_extremes(make_hankel(2, 2, [0.0, s, 0.0])),
+        lambda e: ([e.lambda_min, e.lambda_max], [*e.y_min, *e.y_max]),
+    ),
+    "bounds_prop7": (
+        lambda s: bounds_prop7(make_hankel(2, 2, [0.0, s, 0.0])),
+        lambda b: ([b.upper_for_min, b.lower_for_max], []),
+    ),
+    "copositive_check": (
+        lambda s: copositive_check(make_hankel(4, 2, s * np.array([1.0, -1.0, 1.0, -1.0, 1.0]))),
+        lambda r: ([r.min_phi], [r.is_copositive, r.witness_t is None, *r.critical_points]),
+    ),
+    "heig_dim2": (
+        lambda s: heig_dim2(make_hankel(4, 2, [0.0, s, 0.0, 0.0, 0.0])),
+        lambda pairs: ([p.value for p in pairs], [c for p in pairs for c in p.vector]),
+    ),
+    "copositive_falsify": (
+        lambda s: copositive_falsify(make_hankel(4, 3, s * _uniform(0, 9))),
+        lambda x: ([], list(x)),
+    ),
+    "decompose": (
+        lambda s: decompose(make_hankel(2, 18, s * _uniform(0, 35))),
+        lambda d: (list(d.coeffs), list(d.nodes)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_RANGE)
+def test_float_range(name):
+    # up to max |v| near 1e308, each call returns its unit-scale answer
+    # scaled, or refuses where that answer, or the unit call, does; a numpy
+    # overflow warning would fail the suite first
+    call, parts = FLOAT_RANGE[name]
+    try:
+        unit = parts(call(1.0))
+    except NumericalError:
+        unit = None
+    for s in (1e154, 1e300, 1e308):
+        if unit is None:
+            with pytest.raises(NumericalError, match="^decomposition residual"):
+                call(s)
+        elif np.max(np.abs(unit[0]), initial=0.0) > np.finfo(float).max / s:
+            with pytest.raises(ValueError, match="overflows the float range$"):
+                call(s)
+        else:
+            scaled, fixed = parts(call(s))
+            big = np.max(np.abs(unit[0]), initial=1.0)
+            assert_allclose(np.divide(scaled, s), unit[0], rtol=1e-12, atol=1e-12 * big, err_msg=f"{s:g}")
+            assert_allclose(fixed, unit[1], rtol=0, atol=1e-9, err_msg=f"{s:g}")
 
 
 def test_to_dense_matrix_case():

@@ -297,8 +297,9 @@ class TestFromMeasure:
 
 
 class TestBuiltResults:
-    """Arrays the package builds are frozen in place, not copied: they must
-    still be float64, read-only, and apart from every array a caller holds."""
+    """Results are built through the public constructors, which copy their
+    arrays: they must be float64, read-only, and apart from every array a
+    caller holds."""
 
     @staticmethod
     def built(rng):
