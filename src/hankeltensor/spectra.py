@@ -319,8 +319,7 @@ def heig_dim2(a):
     exponent of max |v|, which is exact and moves no root; F is evaluated on
     v itself, and an F past the float range, at any candidate, is refused
     with ``ValueError("the gradient form overflows the float range")``
-    rather than a pair being dropped.  A rounding scale, residual or lambda
-    gap past the float range fails the test it enters.
+    rather than a pair being dropped.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
