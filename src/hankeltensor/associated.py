@@ -124,7 +124,7 @@ def is_strong(a):
     smallest eigenvalue, so z^T M z = min_eigenvalue < 0 for the reported
     matrix.  The cut is fixed; compare ``min_eigenvalue`` for another one.
     """
-    big = float(np.max(np.abs(a.gen)))
+    big = float(np.abs(a.gen).max())
     cut = _VERDICT_CUT * max(1.0, big)
     odd = (a.dim - 1) * a.order % 2
     # at odd degree the corner mat[-1, -1] is free, and c* is written there

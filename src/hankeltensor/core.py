@@ -10,11 +10,10 @@ The two kernels are a measured choice.  For one vector, contraction is
 3-9 times slower than convolution (A x^(m-2) took 10.6 against 3.6 us at
 order 4, dim 3, and 9.9 against 1.1 us at order 3, dim 5; timeit, numpy
 2.4.6) and rounds differently at most shapes, so the power iteration's
-bytes would move; a batch has no per-row convolution, so it contracts.
-At dim 2, a few points of a low-degree form contract on Python floats,
-bit-equal to the batch and cheaper up to points x degree of about 48: one
-point took 0.24, 0.67 and 1.07 times the batch's time at degree 8, 30 and
-60, and four points 0.80, 2.53 and 4.22 times (2 cores, Python 3.11.7).
+bytes would move; a batch, such as the 1024-row scan of ``zeig_extreme``,
+has no per-row convolution, so it contracts.  Binary forms at a few points
+are not evaluated here: the plane routines and ``heig_dim2`` take them by
+the O(l) Horner step of the root engine in ``polyroots``.
 """
 
 from __future__ import annotations
@@ -171,21 +170,6 @@ def _contract(gen, xs, times):
             nxt += xt[i] * b[i : i + k]
         b = nxt
     return b
-
-
-def _form_at(gen, y1, y2):
-    """The dim-2 form of generating vector ``gen`` at (y1, y2): ``_contract``'s steps
-    b_j <- y1 b_j + y2 b_(j+1), in its order but on Python floats, so bit-equal to it."""
-    b = gen.tolist()
-    for k in range(len(b) - 1, 0, -1):
-        for j in range(k):
-            b[j] = y1 * b[j] + y2 * b[j + 1]
-    return b[0]
-
-
-def _forms(a, xs):
-    """A x^m for every row x of ``xs``, an array of shape (N, n)."""
-    return _contract(a.gen, xs, a.order)[0]
 
 
 def eval_form(a, x):

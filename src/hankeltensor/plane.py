@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .core import _VERDICT_CUT, _form_at, _forms, _no_overflow, _unit_scaled
+from .core import _VERDICT_CUT, _no_overflow, _unit_scaled
 
 
 def _plane(p):
@@ -47,29 +47,27 @@ def copositive_check(p):
     cuts 100 times finer, so on p = (1, -(1 + 1e-11), 1), min_phi = -5e-12,
     this check says copositive and the falsifier returns a witness.
 
-    phi is contracted in one batch or, up to interior points x degree = 48
-    (measured in ``core``), bit-equally on floats at the interior points
-    alone, with phi(0) = p_l and phi(1) = p_0 when both are nonzero.
-    The differences reach the root engine from p scaled by 2^-e, e the
-    binary exponent of max |p_k|, which is exact and moves no root, so they
-    do not overflow; phi is evaluated on p itself, and a value past the
-    float range is refused with ``ValueError("the form overflows the float
-    range")``.
+    An end's value is its coefficient.  At an interior point, phi = (1-t)
+    phi_0 + t phi_1, where phi_0 and phi_1 are b_0..b_(l-1) and b_1..b_l at
+    degree l-1 (within the engine's cap up to l = 1024), each by the root
+    engine's O(l) Horner step, so phi is wrong by at most
+    3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k.  All of it runs on p
+    scaled by 2^-e, e the binary exponent of max |p_k|, which is exact, so
+    nothing overflows; a phi past the float range is refused with
+    ``ValueError("the form overflows the float range")``.
     """
     l, coeffs = _plane(p)
     cut = _VERDICT_CUT * max(1.0, float(np.abs(coeffs).max()))
     if min(coeffs[0], coeffs[-1]) < -cut:
         ts, values = [0.0, 1.0], coeffs[[-1, 0]]
     else:
-        b = _unit_scaled(coeffs)[1]
-        roots = polyroots.bernstein_roots(b[-2::-1] - b[:0:-1])
+        e, b = _unit_scaled(coeffs[::-1])
+        roots = polyroots.bernstein_roots(b[1:] - b[:-1])
         ts = [0.0] + roots + [1.0]
-        if len(roots) * l <= 48 and coeffs[0] and coeffs[-1]:
-            values = _no_overflow(
-                "the form", lambda: [coeffs[-1]] + [_form_at(coeffs, t, 1.0 - t) for t in roots] + [coeffs[0]]
-            )
-        else:
-            values = _no_overflow("the form", lambda: _forms(p, np.array([ts, [1.0 - t for t in ts]]).T))
+        binom = polyroots._binomials(l - 1)
+        lo, hi = (b[:-1] * binom).tolist(), (b[1:] * binom).tolist()
+        inner = [(1.0 - t) * polyroots._horner(lo, t) + t * polyroots._horner(hi, t) for t in roots]
+        values = [coeffs[-1], *_no_overflow("the form", lambda: np.ldexp(inner, e)), coeffs[0]]
     i = int(np.argmin(values))
     min_phi = float(values[i])
     copositive = min_phi >= -cut
@@ -90,21 +88,27 @@ def z_extremes(p):
     The stationary points on the circle are the zeros of the binary form
     y2 dP/dy1 - y1 dP/dy2, whose coefficients are
     q_j = j p_(j-1) - (l-j) p_(j+1); each zero direction is tried with both
-    signs, together with the axes.  q is formed from p scaled by 2^-e, e the
-    binary exponent of max |p_k|, which is exact and moves no root, so it
-    does not overflow up to max |p_k| near 1e308.  The values are taken on p
-    itself: an extreme past the float range is refused with
-    ``ValueError("the form overflows the float range")``, never returned as
-    inf or NaN.
+    signs, together with the axes, which take p_0 and p_l.  In the chart
+    y = (1-u, +-u) the form is the Bernstein polynomial of (+-1)^k p_k, so a
+    root's value is the root engine's O(l) Horner step at u over |y|^l.  q
+    and the Horner terms come from p scaled by 2^-e, e the binary exponent
+    of max |p_k|, which is exact and moves no root, so nothing overflows
+    there; an extreme past the float range is refused with
+    ``ValueError("the form overflows the float range")``.
     """
-    l, c = _plane(p)
-    c = _unit_scaled(c)[1]
+    l, coeffs = _plane(p)
+    e, c = _unit_scaled(coeffs)
     j = np.arange(l + 1)
     q = j * np.r_[0.0, c[:-1]] - (l - j) * np.r_[c[1:], 0.0]
     dirs = polyroots.form_directions(q)
-    ys = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    # the values at -y are (-1)^l times those at y, exact up to the sign of a zero
-    vals = _no_overflow("the form", lambda: _forms(p, ys))
+    norms = np.linalg.norm(dirs, axis=1)
+    ys = dirs / norms[:, None]
+    terms = (c * polyroots._binomials(l)).tolist()
+    flip = [-x if k % 2 else x for k, x in enumerate(terms)]
+    roots = zip(dirs[2:, 1].tolist(), norms[2:].tolist())
+    chart = [polyroots._horner(terms if u > 0.0 else flip, abs(u)) / n**l for u, n in roots]
+    vals = np.concatenate([coeffs[[0, -1]], _no_overflow("the form", lambda: np.ldexp(chart, e))])
+    # the values at -y are (-1)^l times those at y
     ys, vals = np.concatenate([ys, -ys]), np.concatenate([vals, (-1.0) ** l * vals])
     i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
     return PlaneExtremes(float(vals[i_min]), ys[i_min], float(vals[i_max]), ys[i_max])

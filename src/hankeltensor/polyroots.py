@@ -5,8 +5,8 @@ circle extremes and the two-dimensional H-spectrum: de Casteljau halving,
 with Descartes' rule of signs on the Bernstein coefficients deciding which
 pieces can hold a root (Mourrain & Pavone, "Subdivision methods for solving
 polynomial equations", J. Symb. Comput. 44, 2009).  Nothing is converted to
-the monomial basis.  The module only finds roots; the forms whose values the
-callers need at those roots are evaluated by ``core``.
+the monomial basis.  The plane routines also take their form values at the
+roots from its Horner step, ``_horner``, on the terms described below.
 
 A piece that holds exactly one root hands it to Illinois regula falsi.  Each
 of its steps costs O(l) float operations, not an O(l^2) de Casteljau pass:

@@ -140,7 +140,7 @@ def _rayleigh(gen, order, x):
     """The Rayleigh value x . A x^(m-1) and the residual max |A x^(m-1) - lam x|."""
     g = np.correlate(gen, _power_coeffs(x, order - 1), mode="valid")
     lam = float(np.dot(x, g))
-    return lam, float(np.max(np.abs(g - lam * x)))
+    return lam, float(np.abs(g - lam * x).max())
 
 
 def _newton_polish(gen, order, x, lam):
@@ -156,7 +156,7 @@ def _newton_polish(gen, order, x, lam):
     for _ in range(_NEWTON_STEPS):
         g, m_mat = _grad_and_jacobian(gen, order, x)
         f = np.concatenate([g - lam * x, [0.5 * (float(x @ x) - 1.0)]])
-        if float(np.max(np.abs(f))) <= 1e-15 * (1.0 + abs(lam)):
+        if float(np.abs(f).max()) <= 1e-15 * (1.0 + abs(lam)):
             break
         jac = np.zeros((n + 1, n + 1))
         jac[:n, :n] = (order - 1) * m_mat - lam * eye
@@ -291,7 +291,7 @@ def zeig_extreme(a, mode, restarts=20, iters=500):
     # max keeps the first start of highest lambda
     with np.errstate(over="ignore"):
         lam, x, g = max((ascend(x0) for x0 in starts), key=lambda r: r[0])
-    residual = float(np.max(np.abs(g - lam * x)))
+    residual = float(np.abs(g - lam * x).max())
     x_p, lam_p, residual_p = _newton_polish(gen, order, x, lam)
     if residual_p < residual and lam_p >= lam - 1e-9 * (1.0 + abs(lam)):
         x, lam, residual = x_p, lam_p, residual_p
@@ -306,43 +306,55 @@ def heig_dim2(a):
     binary form y1^(m-1) F_2(y) - y2^(m-1) F_1(y) of degree 2m-2: the axes
     and the chart roots of the Bernstein root engine.  Each candidate is
     divided by its signed largest coordinate, which becomes 1, and lambda
-    is F there; F and its rounding scale max(|A| |x|^(m-1)) (|A| has
-    generating vector |v|) are evaluated at all candidates at once.  A
-    candidate is kept when the eigen residual is within
-    1e-8 * min(1 + |lambda|, max(|A| |x|^(m-1))), so a direction where
-    A x^(m-1) is merely small is not an eigenvector.  A chart root within
+    is F there.  F and its rounding scale max(|A| |x|^(m-1)) (|A| has
+    generating vector |v|) are taken at each candidate by Horner's rule in
+    its other coordinate, so lambda is wrong by at most 3m eps times its
+    entry of |A| |x|^(m-1).  A candidate is kept when the eigen residual is
+    within 1e-8 * min(1 + |lambda|, max(|A| |x|^(m-1))), so a direction
+    where A x^(m-1) is merely small is not an eigenvector.  A chart root within
     1e-9 of a kept axis, lambda within 1e-9 * (1 + |lambda|), is the same
     eigenpair (v_1 or v_(m-1) tiny puts it there); of each such group only
     the member of smallest residual is reported.  When the form vanishes
     (every direction is an eigenvector) the axes are the representatives.
-    The binary form's coefficients come from v scaled by 2^-e, e the binary
-    exponent of max |v|, which is exact and moves no root; F is evaluated on
-    v itself, and an F past the float range, at any candidate, is refused
-    with ``ValueError("the gradient form overflows the float range")``
-    rather than a pair being dropped.
+    The binary form and the Horner terms come from v scaled by 2^-e, e the
+    binary exponent of max |v|, which is exact and moves no root; an F past
+    the float range, at any candidate, is refused with ``ValueError("the
+    gradient form overflows the float range")``, not dropped.
     """
     if a.dim != 2:
         raise ValueError("heig_dim2 requires dim = 2")
     m = a.order
     v = np.asarray(a.gen)
-    vs = _unit_scaled(v)[1]
+    e, vs = _unit_scaled(v)
     binom = polyroots._binomials(m - 1)
-    g = np.zeros(2 * m - 1)  # monomial weights of y1^(2m-2-j) y2^j, from v scaled
-    g[:m] += binom * vs[1:]
-    g[m - 1 :] -= binom * vs[:m]
+    f1, f2 = vs[:-1] * binom, vs[1:] * binom  # the terms C(m-1,k) v_(i+k) of F_1 and F_2, scaled
+    g = np.zeros(2 * m - 1)  # monomial weights of y1^(2m-2-j) y2^j
+    g[:m] += f2
+    g[m - 1 :] -= f1
     xs = polyroots.form_directions(g / polyroots._binomials(2 * m - 2))
     i = np.arange(xs.shape[0])
     top = np.argmax(np.abs(xs), axis=1)
     xs = xs / xs[i, top][:, None]
 
-    grad = _no_overflow("the gradient form", lambda: _contract(v, xs, m - 1))
+    # x = (1, w) weighs term k by w^k, and x = (w, 1) by w^(m-1-k)
+    rows = [f1.tolist(), f2.tolist(), np.abs(f1).tolist(), np.abs(f2).tolist()]
+    sums = []
+    for x, k in zip(xs.tolist(), top.tolist()):
+        w = x[1 - k]
+        for r, row in enumerate(rows):
+            acc, u = 0.0, w if r < 2 else abs(w)
+            for c in row if k else reversed(row):
+                acc = acc * u + c
+            sums.append(acc)
+    sums = np.array(sums).reshape(-1, 4).T
+    grad = _no_overflow("the gradient form", lambda: np.ldexp(sums[:2], e))
     lam = grad[top, i]
     # a scale, residual or lambda gap past the float range fails the test it enters
     with np.errstate(over="ignore"):
-        scale = np.max(_contract(np.abs(v), np.abs(xs), m - 1), axis=0)
-        residual = np.max(np.abs(grad - lam * xs.T ** (m - 1)), axis=0)
+        scale = np.ldexp(sums[2:], e).max(axis=0)
+        residual = np.abs(grad - lam * xs.T ** (m - 1)).max(axis=0)
         keep = residual <= 1e-8 * np.minimum(1.0 + np.abs(lam), scale)
-        near = np.max(np.abs(xs[2:, None] - xs[:2]), axis=2) <= 1e-9
+        near = np.abs(xs[2:, None] - xs[:2]).max(axis=2) <= 1e-9
         near &= np.abs(lam[2:, None] - lam[:2]) <= 1e-9 * (1.0 + np.abs(lam[:2]))
     near &= keep[2:, None] & keep[:2]
     for j in np.flatnonzero(np.any(near, axis=0)):
@@ -488,7 +500,7 @@ def copositive_falsify(a, depth=1):
     depth = _integer("depth", depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    big = float(np.max(np.abs(a.gen)))
+    big = float(np.abs(a.gen).max())
     cut = 1e-12 * max(1.0, big)
     alpha, shift, corners, root, iu, ju = _subdivision_tables(a.order, a.dim)
     # the nets and their cut are scaled by 2^-e, which moves no comparison and

@@ -1,12 +1,13 @@
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hankeltensor import DiscreteMeasure, VandermondeDecomposition, make_hankel
-from hankeltensor.core import _as_finite_vector, _frozen_vector
+from hankeltensor.core import _as_finite_vector, _contract, _frozen_vector
 
 _DENSE_CAP = 10**7
 
@@ -97,6 +98,38 @@ def dense_eval(d, x):
     for flat, idx in enumerate(itertools.product(range(d.dim), repeat=d.order)):
         total += entries[flat] * math.prod(x[i] for i in idx)
     return float(total)
+
+
+def forms(a, xs):
+    """A x^m for every row x of ``xs``, an (N, n) array, by the package's contraction kernel."""
+    return _contract(a.gen, xs, a.order)[0]
+
+
+def binary_exact(c, y1, y2):
+    """sum_k c_k C(l,k) y1^(l-k) y2^k, and the same sum over |c_k|, |y1| and |y2|, exactly.
+
+    The floats c_k and the rationals y1 = n1/d1 and y2 = n2/d2 are brought
+    to one denominator, 2^q (d1 d2)^l with 2^q the largest denominator of
+    the c_k, so the sums are taken in integers and divided once.  At
+    (y1, y2) = (1-t, t) they are the Bernstein value of c at t and its
+    rounding scale sum_k |c_k| B_k(t); a plane tensor's phi(t) is the
+    Bernstein value of its coefficients reversed.
+    """
+    ratios = [x.as_integer_ratio() for x in np.asarray(c, dtype=float).tolist()]
+    l = len(ratios) - 1
+    (n1, d1), (n2, d2) = Fraction(y1).as_integer_ratio(), Fraction(y2).as_integer_ratio()
+    a, b = n1 * d2, n2 * d1
+    den = max(d for _, d in ratios)
+    # after step k, value = sum_(j<=k) C(l,j) c_j a^(k-j) b^j over den, and power = b^k
+    value = scale = 0
+    power = 1
+    for k, (num, d) in enumerate(ratios):
+        w = math.comb(l, k) * num * (den // d) * power
+        value = value * a + w
+        scale = scale * abs(a) + abs(w)
+        power *= b
+    den *= (d1 * d2) ** l
+    return Fraction(value, den), Fraction(scale, den)
 
 
 @pytest.fixture

@@ -24,10 +24,9 @@ from hankeltensor import (
     make_hankel,
     z_extremes,
 )
-from hankeltensor.core import _forms
 from hankeltensor.errors import NumericalError
 from hankeltensor.serialize import to_dict
-from conftest import dense_eval, random_hankel, to_dense
+from conftest import dense_eval, forms, random_hankel, to_dense
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 
@@ -326,7 +325,7 @@ def test_forms_match_eval_form_row_by_row(rng):
             sphere = rng.standard_normal((20, dim))
             sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
             xs = np.vstack([simplex, sphere])
-            got = _forms(a, xs)
+            got = forms(a, xs)
             assert got.shape == (40,)
             bound = 2 * ((order - 1) * dim + a.gen.shape[0]) * eps
             for x, f in zip(xs, got):
@@ -340,9 +339,9 @@ def test_forms_rows_do_not_depend_on_the_batch(rng):
         for dim in range(2, 6):
             a = random_hankel(rng, order, dim)
             xs = rng.standard_normal((257, dim))
-            got = _forms(a, xs)
+            got = forms(a, xs)
             for j in range(xs.shape[0]):
-                assert got[j].tobytes() == _forms(a, xs[j : j + 1])[0].tobytes()
+                assert got[j].tobytes() == forms(a, xs[j : j + 1])[0].tobytes()
 
 
 def test_all_lists_exactly_the_public_root_names():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hankeltensor import plane, polyroots
+from hankeltensor import polyroots
 from hankeltensor import (
     DiscreteMeasure,
     VandermondeDecomposition,
@@ -21,7 +21,9 @@ from hankeltensor import (
     make_hankel,
     z_extremes,
 )
-from hankeltensor.core import _contract, _form_at, _forms
+from conftest import binary_exact, forms
+
+EPS = Fraction(float(np.finfo(float).eps))
 
 
 def phi_direct(p, t):
@@ -37,7 +39,7 @@ def phi_direct(p, t):
 def plane_value(p, y1, y2):
     # the form of the dim-2 tensor p at (y1, y2) through the batch kernel; arrays of one shape allowed
     y1, y2 = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-    vals = _forms(p, np.stack([y1.ravel(), y2.ravel()], axis=1))
+    vals = forms(p, np.stack([y1.ravel(), y2.ravel()], axis=1))
     return float(vals[0]) if y1.ndim == 0 else vals.reshape(y1.shape)
 
 
@@ -162,7 +164,11 @@ class TestCopositiveCheck:
             rep = copositive_check(p)
             if not rep.is_copositive:
                 t = rep.witness_t
-                assert _forms(p, np.array([[t, 1.0 - t]]))[0].tobytes() == np.float64(rep.min_phi).tobytes()
+                if t in (0.0, 1.0):
+                    assert bits(rep.min_phi) == bits(p.gen[-1] if t == 0.0 else p.gen[0])
+                else:
+                    exact, scale = phi_exact(p, t)
+                    assert abs(rep.min_phi - exact) <= 3 * (l + 1) * EPS * scale
 
     def test_verdict_is_min_phi_against_one_cut(self, rng):
         for _ in range(300):
@@ -180,7 +186,7 @@ class TestCopositiveCheck:
         def refuse(*args):
             raise AssertionError("sweep reached")
 
-        monkeypatch.setattr(plane, "_forms", refuse)
+        monkeypatch.setattr(polyroots, "_horner", refuse)
         monkeypatch.setattr(polyroots, "bernstein_roots", refuse)
         for coeffs in ([-1.0, 5.0, 5.0, 2.0], [2.0, 5.0, -1e-7], [-3e3, 1e4, 1e3]):
             rep = copositive_check(make_hankel(len(coeffs) - 1, 2, coeffs))
@@ -202,25 +208,52 @@ def bits(x):
     return float(x).hex()
 
 
+def phi_exact(p, t):
+    """phi(t) of the plane tensor p, and its rounding scale sum_k |b_k| B_k(t), in rational arithmetic."""
+    return binary_exact(p.gen[::-1], 1 - Fraction(t), t)
+
+
 def check_by_batch(p):
-    """copositive_check's examined points and values, every value from one ``_forms`` batch."""
+    """copositive_check's examined points and cut, with phi at each point from one ``forms`` batch."""
     coeffs = p.gen
-    cut = 1e-10 * max(1.0, float(np.max(np.abs(coeffs))))
+    cut = 1e-10 * max(1.0, float(np.abs(coeffs).max()))
     if min(coeffs[0], coeffs[-1]) < -cut:
-        ts, values = np.array([0.0, 1.0]), coeffs[[-1, 0]]
+        ts = np.array([0.0, 1.0])
     else:
         ts = np.array([0.0] + polyroots.bernstein_roots(np.diff(coeffs[::-1])) + [1.0])
-        values = _forms(p, np.stack([ts, 1.0 - ts], axis=1))
-    i = int(np.argmin(values))
-    witness = None if values[i] >= -cut else float(ts[i])
-    return bits(values[i]), witness, ts.tolist()
+    return ts.tolist(), forms(p, np.stack([ts, 1.0 - ts], axis=1)), cut
 
 
-def seeded_planes(rng, count):
+def check_against_exact(p):
+    """copositive_check(p) examines the batch reference's points, and its min_phi is
+    phi there within the stated bound: 3(l+1) eps sum_k |b_k| B_k(t) at an interior
+    point, nothing at an end.  The batch's de Casteljau steps err by at most 3l eps
+    times the same sum, so min_phi is within twice the largest bound of the batch's
+    minimum, and the two verdicts can differ only where min_phi + cut is that close to 0."""
+    rep = copositive_check(p)
+    ts, batch, cut = check_by_batch(p)
+    assert rep.critical_points == ts
+    l = p.order
+    exact, bound = [], []
+    for t in ts:
+        value, scale = phi_exact(p, t)
+        exact.append(value)
+        bound.append(0 if t in (0.0, 1.0) else 3 * (l + 1) * EPS * scale)
+    assert min(x - e for x, e in zip(exact, bound)) <= rep.min_phi <= min(x + e for x, e in zip(exact, bound))
+    if rep.witness_t is not None:
+        i = ts.index(rep.witness_t)
+        assert abs(rep.min_phi - exact[i]) <= bound[i]
+    band = 2 * max(bound)
+    assert abs(Fraction(rep.min_phi) - Fraction(float(batch.min()))) <= band
+    if abs(Fraction(rep.min_phi) + Fraction(cut)) > band:
+        assert rep.is_copositive == bool(batch.min() >= -cut)
+
+
+def seeded_planes(rng, count, degrees=(2, 31)):
     # random, nearly nonnegative and moment planes, each scaled by 10^-5..10^5;
     # every fifth has a zero end, of either sign
     for k in range(count):
-        l = int(rng.integers(2, 31)) if k % 2 else int(rng.integers(2, 9))
+        l = int(rng.integers(*degrees)) if k % 2 else int(rng.integers(2, 9))
         kind = k % 4
         if kind == 0:
             c = rng.uniform(-1, 1, l + 1)
@@ -235,58 +268,40 @@ def seeded_planes(rng, count):
 
 
 class TestScalarEvaluation:
-    """The scalar phi against the batch contraction, which is its oracle."""
-
-    def test_bit_equal_to_the_batch(self, rng):
-        for l in range(1, 91):
-            for _ in range(3):
-                gen = rng.uniform(-1, 1, l + 1) * 10.0 ** rng.choice([-5, 0, 5])
-                for t in [0.0, 1.0, 0.5, *rng.uniform(0, 1, 3)]:
-                    want = _contract(gen, np.array([[t, 1.0 - t]]), l)[0, 0]
-                    assert bits(_form_at(gen, t, 1.0 - t)) == bits(want), (l, t)
+    """phi by the Horner step against the batch contraction's points and verdicts
+    and against exact arithmetic, which is its oracle."""
 
     def test_check_matches_the_batch_reference(self, rng):
         for p in seeded_planes(rng, 600):
-            rep = copositive_check(p)
-            assert (bits(rep.min_phi), rep.witness_t, rep.critical_points) == check_by_batch(p)
+            check_against_exact(p)
 
     @pytest.mark.parametrize("order,dim", [(4, 11), (5, 9), (6, 9), (8, 8), (10, 7), (20, 4)])
     def test_moment_planes_match_the_batch_reference(self, order, dim, rng):
         for _ in range(5):
             measure = DiscreteMeasure(rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3))
-            p = assoc_plane(from_measure(measure, order, dim))
-            rep = copositive_check(p)
-            assert (bits(rep.min_phi), rep.witness_t, rep.critical_points) == check_by_batch(p)
+            check_against_exact(assoc_plane(from_measure(measure, order, dim)))
 
-    def test_low_work_takes_the_scalar_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("batch reached")
+    def test_within_the_bound_at_every_degree(self, rng):
+        # degrees 2-60 in full, then a few at 200 and at the engine's 1023
+        for p in seeded_planes(rng, 240, degrees=(9, 61)):
+            check_against_exact(p)
+        for l, count in ((200, 3), (1023, 1)):
+            for _ in range(count):
+                u, w = rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3)
+                check_against_exact(make_hankel(l, 2, w @ u[:, None] ** np.arange(l + 1)))
 
-        monkeypatch.setattr(plane, "_forms", refuse)
-        rep = copositive_check(make_hankel(4, 2, [1.0, -0.5, 0.1, -0.5, 1.0]))
-        assert (rep.critical_points, rep.witness_t) == ([0.0, 0.5, 1.0], 0.5)
-        assert rep.min_phi == pytest.approx(-0.0875, rel=1e-12)
-
-    @pytest.mark.parametrize("l,interior", [(200, 66), (1023, 35)])
-    def test_many_points_take_the_batch(self, l, interior, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("scalar path reached")
-
-        monkeypatch.setattr(plane, "_form_at", refuse)
-        p = make_hankel(l, 2, 1.0 + 0.5 * np.cos(np.arange(l + 1) * np.pi / 3))
-        rep = copositive_check(p)
-        assert len(rep.critical_points) == interior + 2 and rep.is_copositive
-
-    def test_zero_end_keeps_the_batch_sign(self):
-        # the batch adds 0 * p_(l-1) to p_l = -0.0, giving +0.0, where p_l itself is -0.0
+    def test_zero_end_is_the_coefficient(self):
+        # an examined end takes p_l or p_0 itself, so the sign of a zero stays
         rep = copositive_check(make_hankel(2, 2, [1.0, 0.5, -0.0]))
-        assert bits(rep.min_phi) == bits(0.0)
+        assert (rep.critical_points, bits(rep.min_phi)) == ([0.0, 1.0], bits(-0.0))
+        rep = copositive_check(make_hankel(2, 2, [-0.0, 0.5, 1.0]))
+        assert (rep.critical_points, bits(rep.min_phi)) == ([0.0, 1.0], bits(-0.0))
 
     def test_circle_values_at_minus_y_are_signed_copies(self, rng):
         for l in range(2, 40):
             p = make_hankel(l, 2, rng.uniform(-1, 1, l + 1))
             ys = rng.standard_normal((8, 2))
-            assert _forms(p, -ys).tobytes() == ((-1.0) ** l * _forms(p, ys)).tobytes()
+            assert forms(p, -ys).tobytes() == ((-1.0) ** l * forms(p, ys)).tobytes()
 
 
 class TestEvalPlane:
@@ -350,24 +365,29 @@ class TestZExtremes:
             assert ext.lambda_min <= vals.min() + 1e-7
             assert ext.lambda_max >= vals.max() - 1e-7
 
+    def test_values_within_the_bound_of_exact(self, rng):
+        # a chart value is the Horner step, within 3(l+1) eps of its rounding scale,
+        # divided by |y|^l; rounding y to the unit circle and that division add at
+        # most (l+2) eps, so each extreme is P(y) at its returned y within
+        # 5(l+1) eps sum_k C(l,k) |p_k| |y1|^(l-k) |y2|^k; degrees 2-60, 200 and 1023
+        cases = [(l, kind) for l in range(2, 61) for kind in ("random", "moment")]
+        cases += [(200, "moment"), (200, "random"), (1023, "moment")]
+        for l, kind in cases:
+            if kind == "random":
+                c = rng.uniform(-1, 1, l + 1) * 10.0 ** rng.integers(-5, 6)
+            else:
+                u, w = rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3)
+                c = w @ u[:, None] ** np.arange(l + 1)
+            ext = z_extremes(make_hankel(l, 2, c))
+            for lam, y in ((ext.lambda_min, ext.y_min), (ext.lambda_max, ext.y_max)):
+                exact, scale = binary_exact(c, *y)
+                assert abs(lam - exact) <= 5 * (l + 1) * EPS * scale, (l, kind)
+
     def test_odd_degree_antisymmetry(self, rng):
         for _ in range(10):
             l = int(rng.integers(1, 4)) * 2 + 1
             ext = z_extremes(make_hankel(l, 2, rng.uniform(-1, 1, l + 1)))
             assert ext.lambda_min == pytest.approx(-ext.lambda_max, rel=1e-8, abs=1e-10)
-
-
-def phi_exact(p, t):
-    """phi(t) = sum_k C(l,k) p_k t^(l-k) (1-t)^k in rational arithmetic.
-
-    With t = N/D, phi(t) D^l = sum_k C(l,k) p_k N^(l-k) (D-N)^k, a sum of
-    integer multiples of the floats p_k, so only O(l) Fraction operations
-    are needed, against O(l^2) for de Casteljau.
-    """
-    l = p.order
-    num, den = Fraction(t).as_integer_ratio()
-    terms = (Fraction(c) * math.comb(l, k) * num ** (l - k) * (den - num) ** k for k, c in enumerate(p.gen.tolist()))
-    return sum(terms) / den**l
 
 
 def grid_min(p):
@@ -409,12 +429,12 @@ class TestHighDegreeAndMultipleRoots:
     @staticmethod
     def check_minimum_exactly(p):
         rep = copositive_check(p)
-        exact = [phi_exact(p, t) for t in rep.critical_points]
+        exact = [phi_exact(p, t)[0] for t in rep.critical_points]
         scale = float(np.max(np.abs(p.gen)))
         assert float(min(exact)) == pytest.approx(rep.min_phi, abs=1e-15 * scale)
         t_min = rep.critical_points[exact.index(min(exact))]
         for dt in (-1e-3, -1e-6, 1e-6, 1e-3):
-            assert phi_exact(p, t_min + dt) >= min(exact)
+            assert phi_exact(p, t_min + dt)[0] >= min(exact)
 
     @pytest.mark.parametrize(
         "build",

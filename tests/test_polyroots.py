@@ -15,6 +15,7 @@ from hankeltensor import (
     zeig_extreme,
 )
 from hankeltensor.polyroots import _halving, _horner, _scaled_terms, bernstein_roots, form_directions
+from conftest import binary_exact
 
 EPS = Fraction(float(np.finfo(float).eps))
 
@@ -45,15 +46,6 @@ def real_roots(c):
     l = len(c) - 1
     q = [c[j] / math.comb(l, j) for j in range(l + 1)]
     return sorted(y[1] / y[0] for y in form_directions(q) if y[0] != 0.0 and y[1] != 0.0)
-
-
-def bernstein_exact(b, t):
-    """sum_k b_k B_k(t) and sum_k |b_k| B_k(t) in rational arithmetic, B_k(t) = C(l,k) (1-t)^(l-k) t^k."""
-    l = len(b) - 1
-    t = Fraction(t)
-    basis = [math.comb(l, k) * (1 - t) ** (l - k) * t**k for k in range(l + 1)]
-    b = [Fraction(float(x)) for x in b]
-    return sum(x * w for x, w in zip(b, basis)), sum(abs(x) * w for x, w in zip(b, basis))
 
 
 def bernstein_product(a, c):
@@ -219,7 +211,7 @@ class TestScalarRefinement:
                 # one t anywhere, one near each end of [0, 1] and the branch point 1/2
                 ts = [float(rng.uniform(0, 1)), float(rng.uniform(0, 1e-3)), 1.0 - float(rng.uniform(0, 1e-3)), 0.5]
                 for t in ts:
-                    exact, bound = bernstein_exact(b, t)
+                    exact, bound = binary_exact(b, 1 - Fraction(t), t)
                     got = Fraction(_horner(terms, t)) * Fraction(2) ** e
                     assert abs(got - exact) <= 3 * (l + 1) * EPS * bound
 

@@ -29,7 +29,7 @@ from hankeltensor import (
 )
 from hankeltensor import spectra
 from hankeltensor.polyroots import form_directions
-from conftest import dense_matrix, random_hankel, random_measure, random_positive_decomposition
+from conftest import binary_exact, dense_matrix, random_hankel, random_measure, random_positive_decomposition
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 CROSS_NEG = make_hankel(4, 2, [0.0, 0.0, -1.0 / 6.0, 0.0, 0.0])
@@ -846,6 +846,26 @@ class TestHeigDim2:
                 k = int(np.argmin(np.abs(p.vector)))
                 if abs(p.vector[k]) <= 1e-9:  # at most the residual of the axis
                     assert p.residual <= abs(eval_gradient_form(a, np.eye(2)[1 - k])[k])
+
+    def test_lambda_within_the_bound_of_exact(self, rng):
+        # lambda = F_top(x) by Horner's rule in x's other coordinate is within
+        # 3m eps of its rounding scale sum_k C(m-1,k) |v_(top+k)| |x1|^(m-1-k) |x2|^k;
+        # form degrees 2m-2 = 2-60, then 200 and 1022
+        eps = Fraction(float(np.finfo(float).eps))
+        cases = [(m, kind) for m in range(2, 32) for kind in ("random", "moment")]
+        cases += [(101, "moment"), (512, "moment")]
+        checked = 0
+        for m, kind in cases:
+            if kind == "random":
+                a = make_hankel(m, 2, rng.uniform(-1, 1, m + 1) * 10.0 ** rng.integers(-5, 6))
+            else:
+                a = from_measure(random_measure(rng, max_nodes=4), m, 2)
+            for pair in heig_dim2(a):
+                top = int(np.argmax(np.abs(pair.vector)))
+                exact, scale = binary_exact(a.gen[top : top + m], *pair.vector)
+                assert abs(pair.value - exact) <= 3 * m * eps * scale, (m, kind)
+                checked += 1
+        assert checked >= 2 * len(cases)
 
     def test_no_per_candidate_gradient_calls(self, rng, monkeypatch):
         cases = [random_hankel(rng, m, 2) for m in (2, 5, 9)]

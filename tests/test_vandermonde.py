@@ -15,12 +15,14 @@ from hankeltensor import (
     is_positive,
     make_hankel,
 )
+from hankeltensor import vandermonde
+from hankeltensor.core import _unit_scaled
 from hankeltensor.vandermonde import _moment_solve
 from conftest import distinct_nodes, random_hankel, random_measure, random_positive_decomposition
 
 
 def loop_moment_solve(nodes, rhs):
-    # element-by-element elimination that the slice updates must reproduce
+    # element-by-element elimination on numpy scalars, which the solve and the slice updates must reproduce
     u = np.asarray(nodes, dtype=float)
     z = np.asarray(rhs, dtype=float).copy()
     r = u.shape[0]
@@ -33,6 +35,35 @@ def loop_moment_solve(nodes, rhs):
         for j in range(k, r - 1):
             z[j] -= z[j + 1]
     return z
+
+
+def slice_moment_solve(nodes, rhs):
+    # the same elimination by vectorised slice updates
+    u = np.asarray(nodes, dtype=float)
+    z = np.asarray(rhs, dtype=float).copy()
+    r = u.shape[0]
+    for k in range(r - 1):
+        z[k + 1 :] -= u[k] * z[k : r - 1]
+    for k in range(r - 2, -1, -1):
+        z[k + 1 :] /= u[k + 1 :] - u[: r - k - 1]
+        z[k : r - 1] = z[k : r - 1] - z[k + 1 :]
+    return z
+
+
+def slice_decompose(a, nodes=None):
+    # decompose with the slice solve and the power matrix built per call: (nodes, coeffs)
+    # or the residual of the NumericalError
+    r = (a.dim - 1) * a.order + 1
+    nodes = np.cos(np.arange(r) * np.pi / (r - 1)) if nodes is None else np.asarray(nodes, dtype=float)
+    e, v = _unit_scaled(a.gen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = slice_moment_solve(nodes, a.gen)
+        powers = nodes[None, :] ** np.arange(r)[:, None]
+        residual = np.linalg.norm(np.ldexp(powers @ alpha - a.gen, -e))
+        if not residual <= 1e-6 * np.linalg.norm(v):
+            return float(np.ldexp(residual, e))
+    keep = np.abs(alpha) > 1e-12 * np.abs(alpha).max()
+    return nodes[keep], alpha[keep]
 
 
 class TestCompose:
@@ -147,7 +178,36 @@ class TestMomentSolve:
             else:
                 nodes = distinct_nodes(rng, r, sep=1e-3)
             rhs = rng.uniform(-1.0, 1.0, r)
-            assert _moment_solve(nodes, rhs).tobytes() == loop_moment_solve(nodes, rhs).tobytes()
+            want = loop_moment_solve(nodes, rhs).tobytes()
+            assert _moment_solve(nodes, rhs).tobytes() == want == slice_moment_solve(nodes, rhs).tobytes()
+
+
+    def test_decompose_equals_the_slice_solve(self, rng):
+        # nodes, coefficients and the residual of a refusal, bit for bit, at r = 3-64
+        for r in range(3, 65):
+            equispaced = np.linspace(-1.0, 1.0, r)
+            random = rng.uniform(-1.0, 1.0, r)
+            for scale in (1.0, 1e308):
+                a = make_hankel(r - 1, 2, scale * rng.uniform(-1.0, 1.0, r))
+                for nodes in (None, equispaced, random):
+                    want = slice_decompose(a, nodes)
+                    try:
+                        d = decompose(a, nodes)
+                    except NumericalError as exc:
+                        assert isinstance(want, float), (r, scale)
+                        assert float(exc.residual).hex() == want.hex()
+                        continue
+                    assert not isinstance(want, float), (r, scale)
+                    assert (d.nodes.tobytes(), d.coeffs.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+
+    def test_default_nodes_are_cached_read_only(self):
+        nodes, powers = vandermonde._chebyshev(13)
+        assert vandermonde._chebyshev(13)[0] is nodes
+        assert not nodes.flags.writeable and not powers.flags.writeable
+        assert nodes.tobytes() == np.cos(np.arange(13) * np.pi / 12).tobytes()
+        assert powers.tobytes() == (nodes[None, :] ** np.arange(13)[:, None]).tobytes()
+        d = decompose(from_measure(DiscreteMeasure([-0.5, 0.25], [1.0, 0.5]), 6, 3))
+        assert d.nodes.flags.owndata and not np.shares_memory(d.nodes, nodes)
 
 
 class TestTypes:
