@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyroots
-from .core import _VERDICT_CUT, _no_overflow, _unit_scaled
+from .core import _VERDICT_CUT, _no_overflow
 
 
 def _plane(p):
@@ -47,26 +47,24 @@ def copositive_check(p):
     cuts 100 times finer, so on p = (1, -(1 + 1e-11), 1), min_phi = -5e-12,
     this check says copositive and the falsifier returns a witness.
 
-    An end's value is its coefficient.  At an interior point, phi = (1-t)
-    phi_0 + t phi_1, where phi_0 and phi_1 are b_0..b_(l-1) and b_1..b_l at
-    degree l-1 (within the engine's cap up to l = 1024), each by the root
-    engine's O(l) Horner step, so phi is wrong by at most
-    3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k.  All of it runs on p
-    scaled by 2^-e, e the binary exponent of max |p_k|, which is exact, so
-    nothing overflows; a phi past the float range is refused with
-    ``ValueError("the form overflows the float range")``.
+    An end's value is its coefficient.  At an interior point, phi is one
+    pass of the root engine's O(l) Horner step over the degree-l terms, so
+    it is wrong by at most 3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k.
+    All of it runs on p scaled by 2^-e, e the binary exponent of max |p_k|,
+    which is exact, so nothing overflows; a phi past the float range is
+    refused with ``ValueError("the form overflows the float range")``.  A
+    plane whose ends clear the cut is refused above degree 1023, the root
+    engine's cap, with a ``ValueError`` before any work.
     """
-    l, coeffs = _plane(p)
+    _, coeffs = _plane(p)
     cut = _VERDICT_CUT * max(1.0, float(np.abs(coeffs).max()))
     if min(coeffs[0], coeffs[-1]) < -cut:
         ts, values = [0.0, 1.0], coeffs[[-1, 0]]
     else:
-        e, b = _unit_scaled(coeffs[::-1])
+        e, b, terms = polyroots._scaled_terms(coeffs[::-1])
         roots = polyroots.bernstein_roots(b[1:] - b[:-1])
         ts = [0.0] + roots + [1.0]
-        binom = polyroots._binomials(l - 1)
-        lo, hi = (b[:-1] * binom).tolist(), (b[1:] * binom).tolist()
-        inner = [(1.0 - t) * polyroots._horner(lo, t) + t * polyroots._horner(hi, t) for t in roots]
+        inner = [polyroots._horner(terms, t) for t in roots]
         values = [coeffs[-1], *_no_overflow("the form", lambda: np.ldexp(inner, e)), coeffs[0]]
     i = int(np.argmin(values))
     min_phi = float(values[i])
@@ -97,13 +95,12 @@ def z_extremes(p):
     ``ValueError("the form overflows the float range")``.
     """
     l, coeffs = _plane(p)
-    e, c = _unit_scaled(coeffs)
+    e, c, terms = polyroots._scaled_terms(coeffs)
     j = np.arange(l + 1)
     q = j * np.r_[0.0, c[:-1]] - (l - j) * np.r_[c[1:], 0.0]
     dirs = polyroots.form_directions(q)
     norms = np.linalg.norm(dirs, axis=1)
     ys = dirs / norms[:, None]
-    terms = (c * polyroots._binomials(l)).tolist()
     flip = [-x if k % 2 else x for k, x in enumerate(terms)]
     roots = zip(dirs[2:, 1].tolist(), norms[2:].tolist())
     chart = [polyroots._horner(terms if u > 0.0 else flip, abs(u)) / n**l for u, n in roots]

@@ -5,19 +5,20 @@ circle extremes and the two-dimensional H-spectrum: de Casteljau halving,
 with Descartes' rule of signs on the Bernstein coefficients deciding which
 pieces can hold a root (Mourrain & Pavone, "Subdivision methods for solving
 polynomial equations", J. Symb. Comput. 44, 2009).  Nothing is converted to
-the monomial basis.  The plane routines also take their form values at the
-roots from its Horner step, ``_horner``, on the terms described below.
+the monomial basis.  ``_scaled_terms`` alone builds the terms b_k C(l,k),
+scaled by a power of two, that its Horner step, ``_horner``, evaluates.
 
 A piece that holds exactly one root hands it to Illinois regula falsi.  Each
 of its steps costs O(l) float operations, not an O(l^2) de Casteljau pass:
-Horner's rule in u = t/(1-t) or u = (1-t)/t, whichever is at most 1, on the
-terms b_k C(l,k) scaled by a power of two.  That evaluation is wrong by at
-most 3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k, the same order as de
+Horner's rule in u = t/(1-t) or u = (1-t)/t, whichever is at most 1, on
+those terms; the plane routines take their values at the roots the same
+way.  That evaluation is wrong by at most
+3(l+1) eps sum_k |b_k| C(l,k) (1-t)^(l-k) t^k, the same order as de
 Casteljau's bound, so the two can disagree on a sign only where the
 polynomial is at rounding level.
 
-The engine takes degrees up to 1023.  The binomials C(l,k) and the scaled
-terms stay below 2^l, so nothing overflows there; a higher degree is
+The engine takes degrees up to 1023, the one degree cap: C(l,k) and the
+scaled terms stay below 2^l, so nothing overflows; a higher degree is
 refused with a ``ValueError`` before any work.
 """
 
@@ -35,23 +36,36 @@ _EPS = float(np.finfo(float).eps)
 _MAX_DEGREE = 1023
 
 
-@lru_cache(maxsize=64)
-def _halving(l):
-    """Matrices taking degree-l Bernstein coefficients on a piece to its halves.
+@lru_cache(maxsize=10)
+def _pascal(size):
+    """The halving matrices of degree size - 1, shared by every lower degree (read-only).
 
     Left half: b_i = 2^-i sum_{j<=i} C(i,j) b_j; the right half mirrors it.
     Each row is an exact Pascal row rounded to float once; scaling it by 2^-i
-    is exact, so every entry is the correctly rounded C(i,j) / 2^i.
+    is exact, so every entry is the correctly rounded C(i,j) / 2^i.  Row i
+    does not depend on the degree, so the leading block of ``left`` and the
+    trailing block of ``right`` are the matrices of any lower degree.
     """
-    left = np.zeros((l + 1, l + 1))
+    left = np.zeros((size, size))
     row = [1]
-    for i in range(l + 1):
+    for i in range(size):
         left[i, : i + 1] = np.array(row, dtype=float) * 2.0**-i
         row = [x + y for x, y in zip([0] + row, row + [0])]
     right = left[::-1, ::-1].copy()
     left.flags.writeable = False
     right.flags.writeable = False
     return left, right
+
+
+@lru_cache(maxsize=64)
+def _halving(l):
+    """Matrices taking degree-l Bernstein coefficients on a piece to its halves.
+
+    They are views into ``_pascal`` of the least power-of-two size 2^k >= l + 1,
+    so up to degree 1023 at most ten sizes, 22.4 MB in all, are ever built.
+    """
+    left, right = _pascal(1 << l.bit_length())
+    return left[: l + 1, : l + 1], right[-(l + 1) :, -(l + 1) :]
 
 
 @lru_cache(maxsize=64)
@@ -65,13 +79,13 @@ def _binomials(l):
 
 
 def _scaled_terms(b):
-    """The binary exponent e of max |b_k|, and the terms 2^-e b_k C(l,k) as floats.
+    """``(e, 2^-e b, terms)``, e the binary exponent of max |b_k|, terms_k = 2^-e b_k C(l,k).
 
-    The scaling by 2^-e is exact and keeps every term, and every Horner sum
-    over them, below 2^l in magnitude, so nothing overflows up to degree 1023.
+    The scaling is exact and keeps every term, and every Horner sum over
+    them, below 2^l in magnitude, so nothing overflows up to degree 1023.
     """
     e, scaled = _unit_scaled(b)
-    return e, (scaled * _binomials(b.size - 1)).tolist()
+    return e, scaled, (scaled * _binomials(b.size - 1)).tolist()
 
 
 def _horner(terms, t):
@@ -97,19 +111,18 @@ def _horner(terms, t):
     return acc * t**l
 
 
-def _falsi(e, terms, lo, hi, flo, fhi):
-    """The root of b inside (lo, hi), where its values flo and fhi differ in sign.
+def _falsi(terms, lo, hi, flo, fhi):
+    """The root of b inside (lo, hi), where its scaled values flo and fhi differ in sign.
 
     Illinois regula falsi.  Every second step bisects instead when the two
     steps before it have not halved the bracket, so that skewed end values
-    cannot stall it.  Each step costs O(l): ``_horner`` on the terms
-    2^-e b_k C(l,k) that ``_scaled_terms(b)`` returns with e, with flo and
-    fhi scaled by the same 2^-e, so the value at t is 2^-e b(t) within
+    cannot stall it.  Each step costs O(l): ``_horner`` on the terms that
+    ``_scaled_terms(b)`` returns, and flo and fhi are values of its 2^-e b,
+    so the value at t is 2^-e b(t) within
     3(l+1) eps 2^-e sum_k |b_k| B_k(t), B_k the Bernstein basis.  That is the
     order of de Casteljau's error, so the two can take different signs only
     where b is at rounding level.
     """
-    flo, fhi = math.ldexp(flo, -e), math.ldexp(fhi, -e)
     side = 0
     t = lo
     width = hi - lo
@@ -150,13 +163,14 @@ def bernstein_roots(b):
     the whole polynomial.  A rounding-level value at a split point is a root
     there.  A piece narrower than 1e-12, or one whose coefficients are all
     at rounding level, is one candidate at its midpoint; touching candidates
-    of that kind merge into one.  A degree above 1023 is refused first.
+    of that kind merge into one.  A degree above 1023 is refused first, and
+    the rest runs on ``_scaled_terms``' exact 2^-e b, which moves no root.
     """
     b = np.asarray(b, dtype=float)
     l = b.size - 1
     if l < 1:
         return []
-    e, terms = _scaled_terms(b)
+    _, b, terms = _scaled_terms(b)
     if not b.any():
         return []
     gamma = (l + 2) * _EPS
@@ -175,7 +189,7 @@ def bernstein_roots(b):
         if changes == 0:
             continue
         if changes == 1 and signed[0] and signed[-1]:
-            t = _falsi(e, terms, lo, hi, float(c[0]), float(c[-1]))
+            t = _falsi(terms, lo, hi, float(c[0]), float(c[-1]))
             found.append((t, t))
             continue
         mid = 0.5 * (lo + hi)

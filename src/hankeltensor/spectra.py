@@ -48,6 +48,8 @@ _ROUGH_STALL_REL = 1e-4
 _RESIDUAL_OK_REL = 1e-8
 _NEWTON_STEPS = 8
 _SCAN_ROWS = 1024
+# the most bytes one level of copositive_falsify's children's nets may take
+_NET_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -489,9 +491,13 @@ def copositive_falsify(a, depth=1):
 
     ``depth`` is the node budget: None also comes back when every net clears
     the cut, or when the next level would take the sub-simplices made past
-    4096 * depth.  A None from the matrix certificate, or from every net
-    clearing the cut, proves the form at least -cut on the simplex; one
-    from the budget proves nothing, and the three are not told apart.
+    4096 * depth.  A level whose children's nets would take more than
+    64 MiB is refused, before it is built, with a ``ValueError`` naming the
+    cap.  A net holds N = C(m+n-1, n-1) floats, so at depth 1 no shape with
+    N <= 2048 reaches the cap.  A None from the matrix certificate, or from
+    every net clearing the cut, proves the form at least -cut on the
+    simplex; one from the budget proves nothing, and the three are not told
+    apart.
     The cutoff grows with max |v|, as the rounding error of the form does.
     It is 100 times finer than the cut of ``copositive_check``: on
     v = (1, -(1 + 1e-11), 1) that check says copositive, with min_phi
@@ -523,10 +529,13 @@ def copositive_falsify(a, depth=1):
         made += 2 * len(nets)
         if len(nets) == 0 or made > 4096 * depth:
             return None
+        need = 2 * nets.nbytes
+        if need > _NET_BYTES:
+            raise ValueError(f"the subdivision's next level needs {need} bytes, past the cap of {_NET_BYTES} bytes")
         d = verts[:, iu] - verts[:, ju]
-        e = np.argmax(np.einsum("bek,bek->be", d, d), axis=1)
+        edge = np.argmax(np.einsum("bek,bek->be", d, d), axis=1)
         # the first half of the children keeps vertex i, the second vertex j
-        i, j = np.concatenate([iu[e], ju[e]]), np.concatenate([ju[e], iu[e]])
+        i, j = np.concatenate([iu[edge], ju[edge]]), np.concatenate([ju[edge], iu[edge]])
         nets, verts = np.concatenate([nets, nets]), np.concatenate([verts, verts])
         rows = np.arange(len(nets))
         verts[rows, j] = (verts[rows, i] + verts[rows, j]) / 2

@@ -132,6 +132,24 @@ def binary_exact(c, y1, y2):
     return Fraction(value, den), Fraction(scale, den)
 
 
+def exact_ldl_pivots(mat, shift):
+    # the pivots of the LDL^T factorisation of mat + shift * I without
+    # pivoting, in exact arithmetic at the float entries; all of them are
+    # positive exactly when the matrix is positive definite, and the first
+    # pivot that is not ends the factorisation
+    m = [[Fraction(x) + (Fraction(shift) if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    pivots = []
+    for k in range(len(m)):
+        pivots.append(m[k][k])
+        if m[k][k] <= 0:
+            break
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, len(m)):
+                m[i][j] -= f * m[k][j]
+    return pivots
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -19,7 +19,7 @@ from hankeltensor import (
 )
 from hankeltensor import associated
 from hankeltensor.serialize import to_dict
-from conftest import dense_matrix, distinct_nodes, psd_check, random_hankel, random_measure
+from conftest import dense_matrix, distinct_nodes, exact_ldl_pivots, psd_check, random_hankel, random_measure
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 # every (order, dim) with (dim - 1) * order odd and at most 30
@@ -287,6 +287,31 @@ class TestIsStrong:
                     assert np.array_equal(cert.violation_vector, witness)
                 # the associated matrix of the matrix is the matrix itself
                 assert to_dict(is_strong(assoc_matrix(a))) == to_dict(cert)
+
+    @pytest.mark.parametrize("order, dim", [(2, 31), (4, 16), (30, 3)])
+    def test_degree_60_verdict_matches_exact_ldl(self, order, dim):
+        # at (n-1)m = 60, wherever min_eigenvalue is farther from -cut than
+        # eigvalsh's error bound 8 q^2 eps max|v|, the verdict is whether the
+        # exact LDL^T pivots of M + cut I are all positive; moment tensors,
+        # moment tensors lowered by 1e-3 U(0, 1), and U(-1, 1)
+        rng = np.random.default_rng(order * dim)
+        size = (dim - 1) * order + 1
+        moment = from_measure(random_measure(rng), order, dim).gen
+        verdicts = []
+        for gen in (moment, moment - 1e-3 * rng.uniform(0, 1, size), rng.uniform(-1, 1, size)):
+            a = make_hankel(order, dim, gen)
+            cert = is_strong(a)
+            big = float(np.abs(a.gen).max())
+            cut = 1e-10 * max(1.0, big)
+            mat = dense_matrix(assoc_matrix(a))
+            q = len(mat)
+            assert q == 31
+            if abs(cert.min_eigenvalue + cut) <= 8 * q * q * np.finfo(float).eps * big:
+                continue
+            pivots = exact_ldl_pivots(mat, cut)
+            assert cert.is_strong == (len(pivots) == q and min(pivots) > 0)
+            verdicts.append(cert.is_strong)
+        assert verdicts == [True, False, False]
 
     def test_completion_monotonicity(self):
         a = make_hankel(3, 2, [1.0, 1.0, 1.0, 1.0])

@@ -97,6 +97,28 @@ class TestBasics:
                 assert casteljau(left @ b, s) == pytest.approx(casteljau(b, 0.5 * s), abs=1e-14)
                 assert casteljau(right @ b, s) == pytest.approx(casteljau(b, 0.5 + 0.5 * s), abs=1e-14)
 
+    def test_halving_blocks_equal_the_per_degree_matrices(self):
+        # each degree's matrices are blocks of one table per power-of-two size,
+        # byte for byte the Pascal construction at that degree alone
+        def per_degree(l):
+            left = np.zeros((l + 1, l + 1))
+            row = [1]
+            for i in range(l + 1):
+                left[i, : i + 1] = np.array(row, dtype=float) * 2.0**-i
+                row = [x + y for x, y in zip([0] + row, row + [0])]
+            return left, left[::-1, ::-1].copy()
+
+        _halving.cache_clear()
+        polyroots._pascal.cache_clear()
+        for l in [*range(1, 65), 127, 128, 200, 513, 1023]:
+            left, right = _halving(l)
+            want_left, want_right = per_degree(l)
+            assert left.tobytes() == want_left.tobytes(), l
+            assert right.tobytes() == want_right.tobytes(), l
+        # one table each for sizes 2, 4, ..., 256 and 1024, at most 10 up to degree 1023
+        assert polyroots._pascal.cache_info().misses == 9
+        assert polyroots._pascal.cache_info().currsize <= 10
+
     def test_halving_entries_are_correctly_rounded(self):
         # every entry is exactly C(i,j) / 2^i rounded once, up to the engine's
         # limit, where 2^-1023 and the smallest ratios are subnormal
@@ -207,7 +229,7 @@ class TestScalarRefinement:
             for _ in range(30):
                 l = int(rng.integers(2, 61))
                 b = rng.uniform(-1, 1, l + 1) * 10.0 ** rng.uniform(-3, 3) * scale
-                e, terms = _scaled_terms(b)
+                e, _, terms = _scaled_terms(b)
                 # one t anywhere, one near each end of [0, 1] and the branch point 1/2
                 ts = [float(rng.uniform(0, 1)), float(rng.uniform(0, 1e-3)), 1.0 - float(rng.uniform(0, 1e-3)), 0.5]
                 for t in ts:
@@ -235,15 +257,15 @@ class TestDegreeLimit:
             polyroots._binomials(1024)
 
     def test_public_routines_refuse_before_any_work(self):
-        # the engine's degree: l for the circle extremes, 2m - 2 for heig_dim2, and l - 1
-        # (phi') for copositive_check with positive endpoints; at order 1030 zeig_extreme's
-        # entry counts no longer fit a float, so the refusal must come first
+        # the engine's degree: l for the circle extremes and for copositive_check with
+        # positive endpoints (phi's terms), 2m - 2 for heig_dim2; at order 1030
+        # zeig_extreme's entry counts no longer fit a float, so the refusal must come first
         gen = np.random.default_rng(0).uniform(0.5, 1.0, 1031)
         cases = [
             (z_extremes, (make_hankel(1024, 2, gen[:1025]),), 1024),
             (bounds_prop7, (make_hankel(1024, 2, gen[:1025]),), 1024),
             (heig_dim2, (make_hankel(513, 2, gen[:514]),), 1024),
-            (copositive_check, (make_hankel(1025, 2, gen[:1026]),), 1024),
+            (copositive_check, (make_hankel(1024, 2, gen[:1025]),), 1024),
             (zeig_extreme, (make_hankel(1030, 2, gen), "max"), 1030),
         ]
         for fn, args, degree in cases:

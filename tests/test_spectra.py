@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import warnings
@@ -28,8 +29,16 @@ from hankeltensor import (
     zeig_extreme,
 )
 from hankeltensor import spectra
+from hankeltensor.cli import main
 from hankeltensor.polyroots import form_directions
-from conftest import binary_exact, dense_matrix, random_hankel, random_measure, random_positive_decomposition
+from conftest import (
+    binary_exact,
+    dense_matrix,
+    exact_ldl_pivots,
+    random_hankel,
+    random_measure,
+    random_positive_decomposition,
+)
 
 COUNTEREXAMPLE = make_hankel(4, 2, [1.0, 0.0, -1.0 / 6.0, 0.0, 1.0])
 CROSS_NEG = make_hankel(4, 2, [0.0, 0.0, -1.0 / 6.0, 0.0, 0.0])
@@ -196,24 +205,6 @@ def exact_bisection_finds_witness(a, budget=4096):
                 child_verts[moved] = mid
                 children.append((child, child_verts))
         level = children
-
-
-def exact_ldl_pivots(mat, shift):
-    # the pivots of the LDL^T factorisation of mat + shift * I without
-    # pivoting, in exact arithmetic at the float entries; all of them are
-    # positive exactly when the matrix is positive definite, and the first
-    # pivot that is not ends the factorisation
-    m = [[Fraction(x) + (Fraction(shift) if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)]
-    pivots = []
-    for k in range(len(m)):
-        pivots.append(m[k][k])
-        if m[k][k] <= 0:
-            break
-        for i in range(k + 1, len(m)):
-            f = m[i][k] / m[k][k]
-            for j in range(k + 1, len(m)):
-                m[i][j] -= f * m[k][j]
-    return pivots
 
 
 @pytest.fixture
@@ -1034,6 +1025,34 @@ class TestCopositiveFalsify:
             copositive_falsify(CROSS_NEG, depth=2.0)
         w = copositive_falsify(CROSS_NEG, depth=np.int64(2))
         assert w.tobytes() == copositive_falsify(CROSS_NEG, depth=2).tobytes()
+
+    def test_level_memory_cap(self, monkeypatch, tmp_path, capsys, rng):
+        # the two-node moment tensor with v_2 lowered by 1e-6: the matrix
+        # certificate declines and the search runs on; with the cap lowered
+        # to 1 MiB its levels pass it, so the named ValueError comes first
+        # (exit code 2 from the CLI), while searches whose levels stay below
+        # the cap keep their witnesses' bytes
+        gen = from_measure(DiscreteMeasure([-0.5, 0.3], [1.0, 0.5]), 6, 6).gen.copy()
+        gen[2] -= 1e-6
+        a = make_hankel(6, 6, gen)
+        shapes = rng.integers(2, 5, (20, 2)).tolist()
+        tensors = [CROSS_NEG] + [random_hankel(rng, order, dim) for order, dim in shapes]
+        want = [copositive_falsify(b, depth=2) for b in tensors]
+        assert sum(w is not None for w in want) >= 5
+        monkeypatch.setattr(spectra, "_NET_BYTES", 2**20)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="past the cap of 1048576 bytes"):
+            copositive_falsify(a)
+        assert time.perf_counter() - start < 1.0
+        for b, w in zip(tensors, want):
+            got = copositive_falsify(b, depth=2)
+            assert (got is None) == (w is None)
+            if w is not None:
+                assert got.tobytes() == w.tobytes()
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"order": 6, "dim": 6, "gen": gen.tolist()}))
+        assert main(["falsify", str(path)]) == 2
+        assert "past the cap" in capsys.readouterr().err
 
     def test_huge_generating_vector_subdivides_without_overflow(self):
         # every net is a convex combination of the generating vector, so no
