@@ -5,6 +5,11 @@ document formats from :mod:`hankeltensor.serialize`.  Exit status: 0 on
 success, 1 when a yes/no query answers no (not strong, not copositive,
 falsification witness found, worked-example check failed), 2 on usage or
 input errors.
+
+Each ``_cmd_*`` handler returns its document (a JSON-ready dict, or the text
+``entry``, ``eval`` and ``paper-examples`` print) and its answer; :func:`main`
+alone writes the document, to stdout or ``-o``, and maps the answer to the
+exit status.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import associated, plane, serialize, spectra, vandermonde
 from .core import entry as core_entry
 from .core import eval_form, eval_gradient_form, hadamard, make_hankel
@@ -22,27 +25,12 @@ from .errors import NumericalError
 from .worked_examples import run_worked_examples
 
 
-def _floats(text, flag):
+def _numbers(text, flag, kind=float):
     try:
-        return np.array([float(part) for part in text.split(",") if part.strip() != ""])
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers") from None
-
-
-def _ints(text, flag):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of integers") from None
-
-
-def _emit(args, doc):
-    text = json.dumps(doc, indent=2) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects a comma-separated list of {noun}") from None
 
 
 def _load_tensor(path):
@@ -50,46 +38,34 @@ def _load_tensor(path):
 
 
 def _cmd_build(args):
-    t = make_hankel(args.order, args.dim, _floats(args.gen, "--gen"))
-    _emit(args, serialize.to_dict(t))
-    return 0
+    return serialize.to_dict(make_hankel(args.order, args.dim, _numbers(args.gen, "--gen"))), True
 
 
 def _cmd_entry(args):
     t = _load_tensor(args.tensor)
-    print(f"{core_entry(t, _ints(args.idx, '--idx')):.17g}")
-    return 0
+    return f"{core_entry(t, _numbers(args.idx, '--idx', int)):.17g}", True
 
 
 def _cmd_eval(args):
     t = _load_tensor(args.tensor)
-    x = _floats(args.x, "--x")
+    x = _numbers(args.x, "--x")
     if args.grad:
-        g = eval_gradient_form(t, x)
-        print(",".join(f"{v:.17g}" for v in g))
-    else:
-        print(f"{eval_form(t, x):.17g}")
-    return 0
+        return ",".join(f"{v:.17g}" for v in eval_gradient_form(t, x)), True
+    return f"{eval_form(t, x):.17g}", True
 
 
 def _cmd_assoc_matrix(args):
     t = _load_tensor(args.tensor)
-    hm = associated.assoc_matrix(t, args.completion)
-    _emit(args, serialize.to_dict(hm))
-    return 0
+    return serialize.to_dict(associated.assoc_matrix(t, args.completion)), True
 
 
 def _cmd_is_strong(args):
-    t = _load_tensor(args.tensor)
-    cert = associated.is_strong(t)
-    _emit(args, serialize.to_dict(cert))
-    return 0 if cert.is_strong else 1
+    cert = associated.is_strong(_load_tensor(args.tensor))
+    return serialize.to_dict(cert), cert.is_strong
 
 
 def _cmd_plane(args):
-    t = _load_tensor(args.tensor)
-    _emit(args, serialize.plane_to_dict(associated.assoc_plane(t)))
-    return 0
+    return serialize.plane_to_dict(associated.assoc_plane(_load_tensor(args.tensor))), True
 
 
 def _cmd_copositive_plane(args):
@@ -98,79 +74,61 @@ def _cmd_copositive_plane(args):
     if args.plane is not None:
         doc = serialize.load_json(args.plane)
     else:
-        coeffs = _floats(args.p, "--p").tolist()
+        coeffs = _numbers(args.p, "--p")
         doc = {"degree": len(coeffs) - 1, "p": coeffs}
-    p = serialize.plane_from_dict(doc)
-    report = plane.copositive_check(p)
-    _emit(args, serialize.report_to_dict(report))
-    return 0 if report.is_copositive else 1
+    report = plane.copositive_check(serialize.plane_from_dict(doc))
+    return serialize.report_to_dict(report), report.is_copositive
 
 
 def _cmd_decompose(args):
     t = _load_tensor(args.tensor)
-    nodes = None if args.nodes is None else _floats(args.nodes, "--nodes")
-    d = vandermonde.decompose(t, nodes)
-    _emit(args, serialize.decomposition_to_dict(d))
-    return 0
+    nodes = None if args.nodes is None else _numbers(args.nodes, "--nodes")
+    return serialize.decomposition_to_dict(vandermonde.decompose(t, nodes)), True
 
 
 def _cmd_compose(args):
     d = serialize.decomposition_from_dict(serialize.load_json(args.decomposition))
-    t = vandermonde.compose(d, args.order, args.dim)
-    _emit(args, serialize.to_dict(t))
-    return 0
+    return serialize.to_dict(vandermonde.compose(d, args.order, args.dim)), True
 
 
 def _cmd_from_measure(args):
     mu = serialize.measure_from_dict(serialize.load_json(args.measure))
-    t = vandermonde.from_measure(mu, args.order, args.dim)
-    _emit(args, serialize.to_dict(t))
-    return 0
+    return serialize.to_dict(vandermonde.from_measure(mu, args.order, args.dim)), True
 
 
 def _cmd_hadamard(args):
-    t = hadamard(_load_tensor(args.tensor_a), _load_tensor(args.tensor_b))
-    _emit(args, serialize.to_dict(t))
-    return 0
+    return serialize.to_dict(hadamard(_load_tensor(args.tensor_a), _load_tensor(args.tensor_b))), True
 
 
 def _cmd_zeig(args):
     t = _load_tensor(args.tensor)
     pair = spectra.zeig_extreme(t, args.mode, restarts=args.restarts, iters=args.iters)
-    _emit(args, serialize.to_dict(pair))
-    return 0
+    return serialize.to_dict(pair), True
 
 
 def _cmd_heig2(args):
-    t = _load_tensor(args.tensor)
-    pairs = spectra.heig_dim2(t)
-    _emit(args, {"pairs": [serialize.to_dict(p) for p in pairs]})
-    return 0
+    pairs = spectra.heig_dim2(_load_tensor(args.tensor))
+    return {"pairs": [serialize.to_dict(p) for p in pairs]}, True
 
 
 def _cmd_bounds(args):
     t = _load_tensor(args.tensor)
     zb = spectra.bounds_prop6(t) if args.source == "prop6" else spectra.bounds_prop7(t)
-    _emit(args, serialize.to_dict(zb))
-    return 0
+    return serialize.to_dict(zb), True
 
 
 def _cmd_falsify(args):
     t = _load_tensor(args.tensor)
     witness = spectra.copositive_falsify(t, args.depth)
     if witness is None:
-        _emit(args, {"witness": None, "value": None})
-        return 0
-    _emit(args, {"witness": witness.tolist(), "value": eval_form(t, witness)})
-    return 1
+        return {"witness": None, "value": None}, True
+    return {"witness": witness.tolist(), "value": eval_form(t, witness)}, False
 
 
 def _cmd_paper_examples(args):
     lines, ok = run_worked_examples()
-    for line in lines:
-        print(line)
-    print("all checks behaved as documented" if ok else "some checks deviated from the documented outcomes")
-    return 0 if ok else 1
+    verdict = "all checks behaved as documented" if ok else "some checks deviated from the documented outcomes"
+    return "\n".join([*lines, verdict]), ok
 
 
 def build_parser():
@@ -279,13 +237,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, answer = args.func(args)
+        text = (doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n"
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, IndexError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if answer else 1
 
 
 if __name__ == "__main__":

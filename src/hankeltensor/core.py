@@ -12,8 +12,9 @@ order 4, dim 3, and 9.9 against 1.1 us at order 3, dim 5; timeit, numpy
 2.4.6) and rounds differently at most shapes, so the power iteration's
 bytes would move; a batch, such as the 1024-row scan of ``zeig_extreme``,
 has no per-row convolution, so it contracts.  Binary forms at a few points
-are not evaluated here: the plane routines and ``heig_dim2`` take them by
-the O(l) Horner step of the root engine in ``polyroots``.
+are not evaluated here: the plane routines take them by the O(l) Horner
+step of the root engine in ``polyroots``, and ``heig_dim2`` by its own
+monomial Horner rows in each candidate's smaller coordinate.
 """
 
 from __future__ import annotations

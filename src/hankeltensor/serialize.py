@@ -4,7 +4,9 @@ Readers validate field presence and type and raise ValueError naming the
 offending field; writers emit plain dicts whose numbers round-trip (Python's
 float repr).  Every result type is written by :func:`to_dict`, one key per
 dataclass field; only the plane, decomposition and copositivity report keep
-shapes of their own.
+shapes of their own.  Two more shapes are written by the CLI itself:
+``falsify``'s ``{"witness", "value"}`` and ``heig2``'s ``{"pairs": [...]}``,
+a list of eigenpair documents.
 """
 
 from __future__ import annotations

@@ -432,13 +432,17 @@ def _subdivision_tables(order, dim):
         [np.bincount(c, minlength=dim) for c in itertools.combinations_with_replacement(range(dim), order)]
     )
     rank = {r: k for k, r in enumerate(map(tuple, alpha.tolist()))}
-    shift = np.empty((dim, dim, alpha.shape[0]), dtype=np.intp)
+    shift = np.empty((dim, dim, alpha.shape[0]), dtype=np.int32)
     for i, j in itertools.product(range(dim), repeat=2):
         beta = alpha.copy()
         beta[:, i] += 1
         beta[:, j] -= 1
         shift[i, j] = [rank.get(r, k) for k, r in enumerate(map(tuple, beta.tolist()))]
-    tables = (alpha, shift, np.argmax(alpha, axis=0), alpha @ np.arange(dim), *np.triu_indices(dim, 1))
+    root = alpha @ np.arange(dim)
+    # the narrowest unsigned type that holds ``order`` (one byte below 256), so
+    # a level's gather alpha.T[j] stays small; root is taken before the cast
+    alpha = alpha.astype(np.min_scalar_type(order))
+    tables = (alpha, shift, np.argmax(alpha, axis=0), root, *np.triu_indices(dim, 1))
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -541,4 +545,4 @@ def copositive_falsify(a, depth=1):
         verts[rows, j] = (verts[rows, i] + verts[rows, j]) / 2
         moved, back = alpha.T[j], shift[i, j]
         for step in range(1, a.order + 1):
-            nets = np.where(moved >= step, (nets + np.take_along_axis(nets, back, axis=1)) / 2, nets)
+            np.copyto(nets, (nets + np.take_along_axis(nets, back, axis=1)) / 2, where=moved >= step)

@@ -340,6 +340,18 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "zeig", path, "--mode", "max", "--restarts", "1024", "--iters", "1")
         assert code == 0 and json.loads(out)["steps"] > 0
 
+    def test_failed_output_write_exits_2(self, tmp_path, quartic, capsys):
+        # the quartic is not strong, yet the failed write, not the verdict, sets the code
+        dest = str(tmp_path / "missing" / "out.json")
+        for argv in (
+            ["build", "--order", "2", "--dim", "2", "--gen", "1,2,3", "-o", dest],
+            ["is-strong", quartic, "-o", dest],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:")
+        assert not (tmp_path / "missing").exists()
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zeig", "x.json", "--mode", "sideways"])
