@@ -4,85 +4,67 @@ Construction and evaluation of Hankel tensors, their associated Hankel
 matrices and plane tensors, Vandermonde decompositions and moment
 generators, plane copositivity decisions, and extreme eigenvalue estimates
 with certified bounds.
+
+``import hankeltensor`` loads no submodule; each public name loads its home
+module on first use.
 """
 
-from .associated import (
-    StrongCertificate,
-    assoc_matrix,
-    assoc_plane,
-    copositive_necessary,
-    count_s,
-    is_strong,
-)
-from .core import (
-    HankelTensor,
-    entry,
-    eval_form,
-    eval_gradient_form,
-    hadamard,
-    make_hankel,
-)
-from .errors import NumericalError
-from .plane import (
-    CopositivityReport,
-    PlaneExtremes,
-    copositive_check,
-    z_extremes,
-)
-from .spectra import (
-    EigenPair,
-    ZBounds,
-    bounds_prop6,
-    bounds_prop7,
-    copositive_falsify,
-    heig_dim2,
-    odd_sign_check,
-    zeig_extreme,
-)
-from .vandermonde import (
-    DiscreteMeasure,
-    VandermondeDecomposition,
-    compose,
-    decompose,
-    from_measure,
-    hadamard_vd,
-    is_positive,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HankelTensor",
-    "make_hankel",
-    "entry",
-    "eval_form",
-    "eval_gradient_form",
-    "hadamard",
-    "StrongCertificate",
-    "count_s",
-    "assoc_matrix",
-    "is_strong",
-    "assoc_plane",
-    "copositive_necessary",
-    "VandermondeDecomposition",
-    "DiscreteMeasure",
-    "decompose",
-    "compose",
-    "is_positive",
-    "hadamard_vd",
-    "from_measure",
-    "CopositivityReport",
-    "PlaneExtremes",
-    "copositive_check",
-    "z_extremes",
-    "EigenPair",
-    "ZBounds",
-    "zeig_extreme",
-    "heig_dim2",
-    "bounds_prop6",
-    "bounds_prop7",
-    "odd_sign_check",
-    "copositive_falsify",
-    "NumericalError",
-    "__version__",
-]
+# each public name and the submodule that defines it
+_HOMES = {
+    "HankelTensor": "core",
+    "make_hankel": "core",
+    "entry": "core",
+    "eval_form": "core",
+    "eval_gradient_form": "core",
+    "hadamard": "core",
+    "StrongCertificate": "associated",
+    "count_s": "associated",
+    "assoc_matrix": "associated",
+    "is_strong": "associated",
+    "assoc_plane": "associated",
+    "copositive_necessary": "associated",
+    "VandermondeDecomposition": "vandermonde",
+    "DiscreteMeasure": "vandermonde",
+    "decompose": "vandermonde",
+    "compose": "vandermonde",
+    "is_positive": "vandermonde",
+    "hadamard_vd": "vandermonde",
+    "from_measure": "vandermonde",
+    "CopositivityReport": "plane",
+    "PlaneExtremes": "plane",
+    "copositive_check": "plane",
+    "z_extremes": "plane",
+    "EigenPair": "spectra",
+    "ZBounds": "spectra",
+    "zeig_extreme": "spectra",
+    "heig_dim2": "spectra",
+    "bounds_prop6": "spectra",
+    "bounds_prop7": "spectra",
+    "odd_sign_check": "spectra",
+    "copositive_falsify": "spectra",
+    "NumericalError": "errors",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+_SUBMODULES = {*_HOMES.values(), "cli", "polyroots", "serialize", "worked_examples"}
+
+
+def __getattr__(name):
+    """Import the home module of ``name`` on its first lookup and bind the value here."""
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

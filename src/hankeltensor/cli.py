@@ -9,7 +9,8 @@ input errors.
 Each ``_cmd_*`` handler returns its document (a JSON-ready dict, or the text
 ``entry``, ``eval`` and ``paper-examples`` print) and its answer; :func:`main`
 alone writes the document, to stdout or ``-o``, and maps the answer to the
-exit status.
+exit status.  Each handler imports the library module it calls, so a process
+loads only what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import argparse
 import json
 import sys
 
-from . import associated, plane, serialize, spectra, vandermonde
+from . import serialize
 from .core import entry as core_entry
 from .core import eval_form, eval_gradient_form, hadamard, make_hankel
 from .errors import NumericalError
-from .worked_examples import run_worked_examples
 
 
 def _numbers(text, flag, kind=float):
@@ -55,20 +55,24 @@ def _cmd_eval(args):
 
 
 def _cmd_assoc_matrix(args):
+    from . import associated
     t = _load_tensor(args.tensor)
     return serialize.to_dict(associated.assoc_matrix(t, args.completion)), True
 
 
 def _cmd_is_strong(args):
+    from . import associated
     cert = associated.is_strong(_load_tensor(args.tensor))
     return serialize.to_dict(cert), cert.is_strong
 
 
 def _cmd_plane(args):
+    from . import associated
     return serialize.plane_to_dict(associated.assoc_plane(_load_tensor(args.tensor))), True
 
 
 def _cmd_copositive_plane(args):
+    from . import plane
     if (args.plane is None) == (args.p is None):
         raise ValueError("give exactly one of plane (a plane JSON file) and --p")
     if args.plane is not None:
@@ -81,17 +85,20 @@ def _cmd_copositive_plane(args):
 
 
 def _cmd_decompose(args):
+    from . import vandermonde
     t = _load_tensor(args.tensor)
     nodes = None if args.nodes is None else _numbers(args.nodes, "--nodes")
     return serialize.decomposition_to_dict(vandermonde.decompose(t, nodes)), True
 
 
 def _cmd_compose(args):
+    from . import vandermonde
     d = serialize.decomposition_from_dict(serialize.load_json(args.decomposition))
     return serialize.to_dict(vandermonde.compose(d, args.order, args.dim)), True
 
 
 def _cmd_from_measure(args):
+    from . import vandermonde
     mu = serialize.measure_from_dict(serialize.load_json(args.measure))
     return serialize.to_dict(vandermonde.from_measure(mu, args.order, args.dim)), True
 
@@ -101,23 +108,27 @@ def _cmd_hadamard(args):
 
 
 def _cmd_zeig(args):
+    from . import spectra
     t = _load_tensor(args.tensor)
     pair = spectra.zeig_extreme(t, args.mode, restarts=args.restarts, iters=args.iters)
     return serialize.to_dict(pair), True
 
 
 def _cmd_heig2(args):
+    from . import spectra
     pairs = spectra.heig_dim2(_load_tensor(args.tensor))
     return {"pairs": [serialize.to_dict(p) for p in pairs]}, True
 
 
 def _cmd_bounds(args):
+    from . import spectra
     t = _load_tensor(args.tensor)
     zb = spectra.bounds_prop6(t) if args.source == "prop6" else spectra.bounds_prop7(t)
     return serialize.to_dict(zb), True
 
 
 def _cmd_falsify(args):
+    from . import spectra
     t = _load_tensor(args.tensor)
     witness = spectra.copositive_falsify(t, args.depth)
     if witness is None:
@@ -126,6 +137,7 @@ def _cmd_falsify(args):
 
 
 def _cmd_paper_examples(args):
+    from .worked_examples import run_worked_examples
     lines, ok = run_worked_examples()
     verdict = "all checks behaved as documented" if ok else "some checks deviated from the documented outcomes"
     return "\n".join([*lines, verdict]), ok

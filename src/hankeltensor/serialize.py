@@ -17,8 +17,6 @@ import json
 import numpy as np
 
 from .core import HankelTensor
-from .plane import _plane
-from .vandermonde import DiscreteMeasure, VandermondeDecomposition
 
 
 def _require(doc, name, kinds, where):
@@ -59,6 +57,7 @@ def tensor_from_dict(doc):
 
 
 def plane_to_dict(p):
+    from .plane import _plane
     degree, coeffs = _plane(p)
     return {"degree": degree, "p": coeffs.tolist()}
 
@@ -87,6 +86,7 @@ def decomposition_to_dict(d):
 
 
 def decomposition_from_dict(doc):
+    from .vandermonde import VandermondeDecomposition
     terms = _require(doc, "terms", list, "decomposition")
     nodes, coeffs = [], []
     for i, term in enumerate(terms):
@@ -97,6 +97,7 @@ def decomposition_from_dict(doc):
 
 
 def measure_from_dict(doc):
+    from .vandermonde import DiscreteMeasure
     nodes = _number_list(doc, "nodes", "measure")
     weights = _number_list(doc, "weights", "measure")
     return DiscreteMeasure(nodes, weights)

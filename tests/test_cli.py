@@ -1,13 +1,16 @@
 import json
+import os
 import re
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hankeltensor
 from hankeltensor import worked_examples
 from hankeltensor.cli import build_parser, main
 
@@ -387,6 +390,44 @@ class TestEntryPoints:
             assert exc.value.code == code
         assert json.loads(dest.read_text())["gen"] == [1.0, 2.0, 3.0]
         assert "error:" in capsys.readouterr().err
+
+    def test_each_subcommand_loads_only_the_modules_it_calls(self, tmp_path):
+        # one fresh process: the loaded hankeltensor.* modules after the import
+        # and after each subcommand, with the subcommand's exit status
+        script = """
+import contextlib, io, json, sys
+from hankeltensor.cli import main
+
+def loaded(code):
+    print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("hankeltensor."))]))
+
+loaded(None)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded(code)
+"""
+        t = str(tmp_path / "t.json")
+        steps = [
+            ["build", "--order", "4", "--dim", "2", "--gen", "1,0,-0.16666666666666666,0,1", "-o", t],
+            ["is-strong", t, "-o", str(tmp_path / "s.json")],
+            ["decompose", t, "-o", str(tmp_path / "d.json")],
+            ["paper-examples"],
+        ]
+        src = str(Path(hankeltensor.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(steps)], env=env, capture_output=True, text=True, check=True
+        )
+        base = ["cli", "core", "errors", "serialize"]
+        everything = sorted(base + ["associated", "plane", "polyroots", "spectra", "vandermonde", "worked_examples"])
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            [None, base],
+            [0, base],
+            [1, sorted(base + ["associated"])],
+            [0, sorted(base + ["associated", "vandermonde"])],
+            [0, everything],
+        ]
 
     def test_readme_examples_parse(self):
         blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

@@ -1,6 +1,10 @@
+import importlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -345,6 +349,8 @@ def test_forms_rows_do_not_depend_on_the_batch(rng):
 
 
 def test_all_lists_exactly_the_public_root_names():
+    # names bind in the package namespace on first use, so use every one first
+    exec("from hankeltensor import *", {})
     bound = {
         name
         for name, value in vars(hankeltensor).items()
@@ -352,3 +358,39 @@ def test_all_lists_exactly_the_public_root_names():
     }
     assert len(set(hankeltensor.__all__)) == len(hankeltensor.__all__)
     assert set(hankeltensor.__all__) == bound | {"__version__"}
+
+
+def _fresh_process(code):
+    """Standard output of ``code`` run by a new interpreter that imports this package's source."""
+    src = os.path.dirname(os.path.dirname(hankeltensor.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, hankeltensor; print(sorted(m for m in sys.modules if m.startswith('hankeltensor.')))"
+    assert _fresh_process(code).strip() == "[]"
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in hankeltensor.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(hankeltensor, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("hankeltensor.")
+        assert getattr(home, name) is value
+
+
+def test_submodules_resolve_after_a_bare_import():
+    out = _fresh_process("import hankeltensor; print(hankeltensor.spectra.__name__)")
+    assert out.strip() == "hankeltensor.spectra"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'hankeltensor' has no attribute 'no_such_name'"):
+        getattr(hankeltensor, "no_such_name")
+
+
+def test_dir_lists_every_public_name():
+    assert set(hankeltensor.__all__) <= set(dir(hankeltensor))
